@@ -26,7 +26,7 @@ case $BENCH in */*) ;; *) BENCH="./$BENCH" ;; esac
 
 # Pin the knobs the cases set explicitly, so a developer's environment
 # cannot perturb the byte-compares.
-unset POTX_DOMAINS POTX_SHARD POTX_WORKERS POTX_FAULTS POTX_RETRIES \
+unset POTX_DOMAINS POTX_FAULTS POTX_RETRIES \
   POTX_CACHE POTX_ENGINE POTX_TRACE POTX_METRICS POTX_PROFILE
 
 work=$(mktemp -d)
@@ -101,21 +101,20 @@ case_checkpoint_resume() {
       --require-nonzero flow.checkpoint.loaded
 }
 
-# The sharding acceptance: stdout byte-identical to the monolithic run
-# for N in {1,2,4,8} at 1 and 4 worker domains.  The header line
-# prints the domain count, so the comparison starts below it.
-case_shard_identity() {
+# The parallelism acceptance: stdout byte-identical to the sequential
+# run at 2 and 4 worker domains (model-OPC tiles and extraction buckets
+# on the pool).  The header line prints the domain count, so the
+# comparison starts below it.
+case_domains_identity() {
   ok=0
-  for n in 1 2 4 8; do
-    for d in 1 4; do
-      "$POTX" run --bench c17 --shard "$n" --domains "$d" \
-        > "$work/shard_${n}_${d}.out" 2> /dev/null || ok=1
-      tail -n +2 "$work/shard_${n}_${d}.out" > "$work/shard_${n}_${d}.body"
-      tail -n +2 "$work/base.out" | cmp - "$work/shard_${n}_${d}.body" || {
-        echo "   shard=$n domains=$d differs from the monolithic run"
-        ok=1
-      }
-    done
+  for d in 2 4; do
+    "$POTX" run --bench c17 --domains "$d" \
+      > "$work/domains_${d}.out" 2> /dev/null || ok=1
+    tail -n +2 "$work/domains_${d}.out" > "$work/domains_${d}.body"
+    tail -n +2 "$work/base.out" | cmp - "$work/domains_${d}.body" || {
+      echo "   domains=$d differs from the sequential run"
+      ok=1
+    }
   done
   return $ok
 }
@@ -229,64 +228,16 @@ case_perfdiff_gate() {
       > /dev/null 2>&1
 }
 
-# Shard-granular checkpoints: a sharded resume loads per-shard CD
-# stages and still reproduces the monolithic stdout.
-case_shard_resume() {
-  "$POTX" run --bench c17 --shard 4 --checkpoint "$work/shard_ckpt" \
-    > "$work/shard_ckpt1.out" 2> /dev/null &&
-    "$POTX" run --bench c17 --shard 4 --checkpoint "$work/shard_ckpt" \
-      --resume --metrics "$work/shard_ckpt_metrics.jsonl" \
-      > "$work/shard_ckpt2.out" 2> /dev/null &&
-    cmp "$work/base.out" "$work/shard_ckpt1.out" &&
-    cmp "$work/base.out" "$work/shard_ckpt2.out" &&
-    "$POTX" obs-check --metrics "$work/shard_ckpt_metrics.jsonl" \
-      --require-nonzero flow.checkpoint.loaded \
-      --require-nonzero flow.shards
-}
-
-# The distributed-execution acceptance: stdout byte-identical to the
-# in-process baseline for {workers 1,2,4} x {shard 1,4}, a worker
-# crashed mid-shard reassigned without changing a byte, and the dist
-# counters (dispatched/completed/reassigned) actually counting.
-case_workers() {
-  ok=0
-  for w in 1 2 4; do
-    for n in 1 4; do
-      "$POTX" run --bench c17 --workers "$w" --shard "$n" \
-        > "$work/workers_${w}_${n}.out" 2> /dev/null || ok=1
-      cmp "$work/base.out" "$work/workers_${w}_${n}.out" || {
-        echo "   workers=$w shard=$n differs from the in-process run"
-        ok=1
-      }
-    done
-  done
-  "$POTX" run --bench c17 --workers 2 --shard 4 \
-    --faults 'dist.worker1.crash=fail1' \
-    --metrics "$work/workers_metrics.jsonl" \
-    > "$work/workers_crash.out" 2> /dev/null || ok=1
-  cmp "$work/base.out" "$work/workers_crash.out" || {
-    echo "   crashed-worker run differs from the in-process run"
-    ok=1
-  }
-  "$POTX" obs-check --metrics "$work/workers_metrics.jsonl" \
-    --require-nonzero dist.dispatched \
-    --require-nonzero dist.completed \
-    --require-nonzero dist.reassigned || ok=1
-  return $ok
-}
-
 run_case baseline case_baseline
 run_case multicore-bench case_multicore_bench
 run_case obs case_obs
 run_case cache case_cache
 run_case fault-retry case_fault_retry
 run_case checkpoint-resume case_checkpoint_resume
-run_case shard-identity case_shard_identity
-run_case workers case_workers
+run_case domains-identity case_domains_identity
 run_case ssta case_ssta
 run_case engine case_engine
 run_case profile-identity case_profile_identity
-run_case shard-resume case_shard_resume
 if [ -n "$SERVE_SCRIPT" ] && [ -n "$SERVE_GOLDEN" ]; then
   run_case serve case_serve
   run_case serve-profile case_serve_profile

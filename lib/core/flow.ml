@@ -13,44 +13,10 @@ type config = {
   seed : int;
   slices : int;
   domains : int;
-  shard : int;
   cache : bool;
   engine : Litho.Aerial.engine;
   retry : Fault.retry;
   checkpoint : Checkpoint.t option;
-  dist : dist_backend option;
-}
-
-(* Multi-process shard execution, injected from above (lib/dist) so the
-   core flow never depends on process plumbing.  Both hooks receive the
-   shard plan and return per-shard results in shard order — the same
-   merge contract as the in-process path, so a backend that executes
-   shards remotely (or falls back to computing them inline) keeps the
-   output byte-identical.  Backends only understand the stock
-   technology; the flow guards the hooks with [dist_supported]. *)
-and dist_backend = {
-  dist_opc :
-    config ->
-    Layout.Chip.t ->
-    Shard.t list ->
-    ((int * Geometry.Polygon.t) list * Opc.Model_opc.stats list) list;
-      (* per-shard model-OPC overwrite batches for [Opc.Chip_opc.assemble] *)
-  dist_extract :
-    config ->
-    condition:Litho.Condition.t ->
-    chip:Layout.Chip.t ->
-    mask:Opc.Mask.t ->
-    subset:Layout.Chip.gate_ref list option ->
-    checkpoint:Checkpoint.t option ->
-    ckpt_stage:string ->
-    ckpt_extra:string ->
-    Shard.t list ->
-    Cdex.Gate_cd.t list list;
-      (* per-shard post-noise CD records; [subset = Some gates]
-         restricts extraction to those gates (owner-shard partition of
-         the given order); with [checkpoint] the backend persists each
-         shard's records under the flow's canonical stage names *)
-  dist_shutdown : unit -> unit;
 }
 
 let default_config () =
@@ -71,22 +37,11 @@ let default_config () =
     seed = 42;
     slices = 7;
     domains = 1;
-    shard = Shard.env_count ();
     cache = Litho.Tile_cache.env_enabled ();
     engine = Litho.Aerial.env_engine ();
     retry = Fault.no_retry;
     checkpoint = None;
-    dist = None;
   }
-
-(* The distributed backend reconstructs worker-side state from a
-   parameter record naming the technology, so it only engages for the
-   stock node; other configs silently take the in-process path. *)
-let dist_supported config =
-  config.dist <> None && String.equal config.tech.Layout.Tech.name "node90"
-
-let shutdown_dist config =
-  match config.dist with Some b -> b.dist_shutdown () | None -> ()
 
 (* Per-stage wall/alloc gauges ([<stage>.wall_s], [<stage>.alloc_mw])
    accumulate into the registry on every run, traced or not, so a
@@ -131,7 +86,7 @@ let supervised ~name config ?checkpoint f =
               Checkpoint.stage config.checkpoint ~name:cname ~key:(key ())
                 ~encode ~decode body))
 
-(* Worker pool for the extraction hot path; [None] when the config
+(* Worker pool for the OPC and extraction hot paths; [None] when the config
    asks for a single domain, keeping call sites on the sequential
    code path.  Results are bit-identical either way (see Exec.Pool). *)
 let with_flow_pool config f =
@@ -225,73 +180,16 @@ let lengths_of_annotation annotation netlist =
     netlist.Circuit.Netlist.gates;
   fun name -> Hashtbl.find_opt table name
 
-(* --- sharding ---------------------------------------------------- *)
-
-let m_shards = Obs.Metrics.counter "flow.shards"
-
-let m_halo_gates = Obs.Metrics.counter "shard.halo_gates"
-
-(* Shard strips share the extraction bucket anchors (so gate ownership
-   never splits a bucket) and report the litho halo's reach in
-   [shard.halo_gates]. *)
-let shard_plan config litho chip =
-  Shard.plan ~tile:config.tile ~halo:litho.Litho.Model.halo ~count:config.shard
-    chip
-
-(* Dispatch one task per shard.  A single shard runs inline on the
-   caller with the pool handed down to its inner hot loops — literally
-   the pre-shard code path.  Several shards become independent pool
-   tasks (sequential inside; a nested pool would inline anyway), under
-   the stage retry policy.  Merging results in shard order is what
-   keeps output byte-identical for any shard count x worker count. *)
-let map_shards ?pool ~label config (f : ?pool:Exec.Pool.t -> Shard.t -> 'a) shards =
-  match (shards, pool) with
-  | [ s ], _ -> [ f ?pool s ]
-  | _, None -> List.map (fun s -> f s) shards
-  | _, Some p -> Exec.Pool.map_list ~label ~retry:config.retry p (fun s -> f s) shards
-
-let shard_span ~stage (s : Shard.t) f =
-  Obs.Span.with_ ~name:"flow.shard"
-    ~attrs:(fun () ->
-      [
-        ("stage", stage);
-        ("shard", Printf.sprintf "%d/%d" (s.Shard.index + 1) s.Shard.count);
-        ("gates", string_of_int (List.length s.Shard.gates));
-        ("halo_gates", string_of_int s.Shard.halo_gates);
-      ])
-    f
-
-(* Model-based OPC runs one correction batch per shard (the tile
-   columns the shard owns) against the shared read-only plan, then
-   merges overwrites and stats in shard order — canonical tile order
-   overall, so the mask and merged stats are byte-identical to the
-   monolithic pass.  Each shard task sits behind the [opc.correct]
-   fault point, mirroring the monolithic driver. *)
-let opc_of_config ?pool config litho chip ~shards =
-  match config.opc_style with
-  | No_opc -> Opc.Chip_opc.correct litho Opc.Chip_opc.None_ chip ~tile:config.tile
-  | Rule_opc ->
-      Opc.Chip_opc.correct litho
-        (Opc.Chip_opc.Rule (Opc.Rule_opc.default_recipe config.tech))
-        chip ~tile:config.tile
-  | Model_opc -> (
-      let plan = Opc.Chip_opc.plan litho chip ~tile:config.tile in
-      match config.dist with
-      | Some b when dist_supported config ->
-          (* Worker processes recompute the (deterministic) plan from
-             the shipped chip; only the per-shard overwrite batches
-             come back, merged in canonical order by [assemble]. *)
-          Opc.Chip_opc.assemble plan (b.dist_opc config chip shards)
-      | _ ->
-          let tiles = Opc.Chip_opc.tiles plan in
-          let correct ?pool:_ (s : Shard.t) =
-            shard_span ~stage:"opc" s @@ fun () ->
-            Fault.point "opc.correct" @@ fun () ->
-            Opc.Chip_opc.correct_tiles litho config.opc_config plan
-              (Shard.split_tiles s tiles)
-          in
-          Opc.Chip_opc.assemble plan
-            (map_shards ?pool ~label:"flow.shards.opc" config correct shards))
+(* Model OPC runs its tiles as pool tasks (see Opc.Chip_opc); rule
+   and no OPC ignore the pool. *)
+let opc_of_config ?pool config litho chip =
+  let style =
+    match config.opc_style with
+    | No_opc -> Opc.Chip_opc.None_
+    | Rule_opc -> Opc.Chip_opc.Rule (Opc.Rule_opc.default_recipe config.tech)
+    | Model_opc -> Opc.Chip_opc.Model config.opc_config
+  in
+  Opc.Chip_opc.correct ?pool litho style chip ~tile:config.tile
 
 (* --- checkpoint keys and codecs ---------------------------------- *)
 
@@ -321,12 +219,6 @@ let opc_style_tag = function
   | No_opc -> "none"
   | Rule_opc -> "rule"
   | Model_opc -> "model"
-
-let opc_style_of_tag = function
-  | "none" -> Some No_opc
-  | "rule" -> Some Rule_opc
-  | "model" -> Some Model_opc
-  | _ -> None
 
 (* Content hash of everything the OPC stage's output depends on.
    Domain count and the litho tile cache are deliberately excluded:
@@ -396,17 +288,14 @@ let decode_mask ~payload ~meta =
   | _ -> None
 
 (* The CD checkpoint stores post-noise records, so a resumed run skips
-   both the extraction and the noise pass.  The mask and chip digests
-   are taken as arguments: sharded extraction hashes the shared stage
-   inputs once on the calling domain and per-shard keys add only the
-   shard spec. *)
-let cds_key config ~extra ~mask_digest ~chip_digest =
+   both the extraction and the noise pass. *)
+let cds_key config ~extra ~mask ~chip =
   Digest.to_hex
     (Digest.string
        (String.concat "|"
           [
-            mask_digest;
-            chip_digest;
+            Digest.to_hex (Digest.string (mask_text mask));
+            chip_digest chip;
             hex config.condition.Litho.Condition.dose;
             hex config.condition.Litho.Condition.defocus;
             string_of_int config.slices;
@@ -444,80 +333,20 @@ let add_silicon_noise config cds =
         { cd with Cdex.Gate_cd.cds = List.map bump cd.Cdex.Gate_cd.cds })
       cds
 
-(* Sharded extraction: each shard measures its owned gates against the
-   full merged mask (its simulation windows reach into neighbour
-   strips by the litho halo) and adds silicon noise — both depend only
-   on the gate set, so concatenating per-shard records in shard order
-   equals the unsharded extraction byte for byte (buckets are
-   canonically ordered, see Cdex.Extract.bucket_gates).
-
-   With checkpointing on, every non-empty shard saves its post-noise
-   records under its own stage name and content-hash key: "cds" when
-   the plan has one shard (backward compatible with pre-shard
-   checkpoints), "cds.sNofM" otherwise — so --resume is
-   shard-granular.  Keys are computed eagerly here, never via a shared
-   lazy, because they are evaluated from worker domains. *)
-let rec extract_cds ?pool config ~shards ~litho ~chip ~mask ~ckpt_stage
-    ~ckpt_extra =
-  match config.dist with
-  | Some b when dist_supported config ->
-      (* The backend owns the per-shard checkpoint artifacts (same
-         stage names and content keys as the inline path below), so a
-         run checkpointed under workers resumes under none and vice
-         versa. *)
-      List.concat
-        (b.dist_extract config ~condition:config.condition ~chip ~mask
-           ~subset:None ~checkpoint:config.checkpoint ~ckpt_stage ~ckpt_extra
-           shards)
-  | _ -> extract_cds_local ?pool config ~shards ~litho ~chip ~mask ~ckpt_stage
-           ~ckpt_extra
-
-and extract_cds_local ?pool config ~shards ~litho ~chip ~mask ~ckpt_stage
-    ~ckpt_extra =
-  let digests =
-    match config.checkpoint with
-    | None -> None
-    | Some _ ->
-        Some
-          ( Digest.to_hex (Digest.string (mask_text mask)),
-            chip_digest chip )
-  in
-  let extract_one ?pool (s : Shard.t) =
-    shard_span ~stage:"cdex" s @@ fun () ->
-    Obs.Metrics.add m_halo_gates s.Shard.halo_gates;
-    let compute () =
-      Cdex.Extract.extract ?pool ~retry:config.retry litho config.condition
-        ~mask:(Opc.Mask.source mask) ~gates:s.Shard.gates ~slices:config.slices
-        ~tile:config.tile ()
-      |> add_silicon_noise config
-    in
-    match digests with
-    | None -> compute ()
-    | Some _ when s.Shard.gates = [] ->
-        (* An empty shard has nothing to resume; writing no file keeps
-           stage counts independent of degenerate partitions. *)
-        compute ()
-    | Some (mask_digest, chip_digest) ->
-        let name, extra =
-          if s.Shard.count = 1 then (ckpt_stage, ckpt_extra)
-          else
-            ( Printf.sprintf "%s.s%dof%d" ckpt_stage (s.Shard.index + 1)
-                s.Shard.count,
-              Printf.sprintf "shard=%d/%d@%d..%d|%s" s.Shard.index s.Shard.count
-                s.Shard.x_lo s.Shard.x_hi ckpt_extra )
-        in
-        Checkpoint.stage config.checkpoint ~name
-          ~key:(cds_key config ~extra ~mask_digest ~chip_digest)
-          ~encode:encode_cds ~decode:decode_cds compute
-  in
-  List.concat (map_shards ?pool ~label:"flow.shards.cdex" config extract_one shards)
-
 let extract_and_time ?pool ?(ckpt_stage = "cds") ?(ckpt_extra = "") config
-    ~shards ~litho ~netlist ~chip ~mask ~loads ~clock_period =
+    ~litho ~netlist ~chip ~mask ~loads ~clock_period =
   let cds =
-    supervised ~name:"flow.cdex" config (fun () ->
-        extract_cds ?pool config ~shards ~litho ~chip ~mask ~ckpt_stage
-          ~ckpt_extra)
+    supervised ~name:"flow.cdex" config
+      ~checkpoint:
+        ( ckpt_stage,
+          (fun () -> cds_key config ~extra:ckpt_extra ~mask ~chip),
+          encode_cds,
+          decode_cds )
+      (fun () ->
+        Cdex.Extract.extract ?pool ~retry:config.retry litho config.condition
+          ~mask:(Opc.Mask.source mask) ~gates:(Layout.Chip.gates chip)
+          ~slices:config.slices ~tile:config.tile ()
+        |> add_silicon_noise config)
   in
   let annotation =
     supervised ~name:"flow.annotate" config (fun () ->
@@ -538,8 +367,7 @@ let run config netlist =
   Obs.Span.with_ ~name:"flow.run"
     ~attrs:(fun () ->
       [ ("gates", string_of_int (Circuit.Netlist.num_gates netlist));
-        ("domains", string_of_int config.domains);
-        ("shards", string_of_int (max 1 config.shard)) ])
+        ("domains", string_of_int config.domains) ])
   @@ fun () ->
   Obs.Metrics.incr m_runs;
   Litho.Tile_cache.set_enabled config.cache;
@@ -548,8 +376,6 @@ let run config netlist =
     supervised ~name:"flow.litho_model" config (fun () -> litho_model config)
   in
   let chip = place config netlist in
-  let shards = shard_plan config litho chip in
-  Obs.Metrics.add m_shards (List.length shards);
   let loads = Circuit.Loads.of_netlist config.env netlist in
   (* Sign-off view: characterised NLDM library at drawn CDs. *)
   let nldm =
@@ -567,7 +393,7 @@ let run config netlist =
         ( Sta.Timing.analyze netlist ~loads ~delay:drawn_delay ~clock_period (),
           clock_period ))
   in
-  (* One pool spans both shard-parallel phases; the merged mask is the
+  (* One pool spans both parallel phases; the merged mask is the
      barrier between them. *)
   let mask, opc_stats, cds, annotation, post_opc_sta =
     with_flow_pool config (fun pool ->
@@ -578,11 +404,11 @@ let run config netlist =
                 (fun () -> opc_key config ~extra:"" chip),
                 encode_mask,
                 decode_mask )
-            (fun () -> opc_of_config ?pool config litho chip ~shards)
+            (fun () -> opc_of_config ?pool config litho chip)
         in
         let cds, annotation, post_opc_sta =
-          extract_and_time ?pool config ~shards ~litho ~netlist ~chip ~mask
-            ~loads ~clock_period
+          extract_and_time ?pool config ~litho ~netlist ~chip ~mask ~loads
+            ~clock_period
         in
         (mask, opc_stats, cds, annotation, post_opc_sta))
   in
@@ -634,10 +460,6 @@ let run_selective r ~selected =
   Litho.Tile_cache.set_enabled config.cache;
   Litho.Aerial.set_engine config.engine;
   let litho = litho_model config in
-  (* Selective OPC itself stays monolithic (its cost is bounded by the
-     selected set); extraction reuses the sharded path. *)
-  let shards = shard_plan config litho r.chip in
-  Obs.Metrics.add m_shards (List.length shards);
   (* Selective runs checkpoint under their own stage names with the
      selected-gate set folded into the key, so a full-run checkpoint in
      the same directory is never mistaken for a selective one. *)
@@ -646,6 +468,7 @@ let run_selective r ~selected =
     |> List.sort_uniq String.compare
     |> String.concat ","
   in
+  with_flow_pool config @@ fun pool ->
   let mask, opc_stats =
     supervised ~name:"flow.opc" config
       ~checkpoint:
@@ -654,15 +477,14 @@ let run_selective r ~selected =
           encode_mask,
           decode_mask )
       (fun () ->
-        Opc.Chip_opc.correct_selective litho config.opc_config
+        Opc.Chip_opc.correct_selective ?pool litho config.opc_config
           (Opc.Rule_opc.default_recipe config.tech)
           r.chip ~tile:config.tile ~selected)
   in
   let cds, annotation, post_opc_sta =
-    with_flow_pool config (fun pool ->
-        extract_and_time ?pool ~ckpt_stage:"cds_sel" ~ckpt_extra:sel_extra config
-          ~shards ~litho ~netlist:r.netlist ~chip:r.chip ~mask ~loads:r.loads
-          ~clock_period:r.clock_period)
+    extract_and_time ?pool ~ckpt_stage:"cds_sel" ~ckpt_extra:sel_extra config
+      ~litho ~netlist:r.netlist ~chip:r.chip ~mask ~loads:r.loads
+      ~clock_period:r.clock_period
   in
   { r with mask; opc_stats; cds; annotation; post_opc_sta }
 
@@ -695,7 +517,6 @@ let extract_at ?pool ?gates ?condition ?chip ?mask r =
   let condition = Option.value condition ~default:config.condition in
   let chip = Option.value chip ~default:r.chip in
   let mask = Option.value mask ~default:r.mask in
-  let subset = gates in
   let gates =
     match gates with Some g -> g | None -> Layout.Chip.gates chip
   in
@@ -705,25 +526,11 @@ let extract_at ?pool ?gates ?condition ?chip ?mask r =
   Litho.Tile_cache.set_enabled config.cache;
   Litho.Aerial.set_engine config.engine;
   let litho = litho_model config in
-  match config.dist with
-  | Some b when dist_supported config ->
-      (* Ad-hoc re-queries ride the worker pool as an owner-shard
-         partition of the requested gate set: buckets are canonically
-         ordered and whole buckets change hands atomically, so
-         concatenating per-shard records in shard order is
-         byte-identical to the unsharded extraction (the [Shard]
-         invariant).  No checkpointing — ad-hoc queries are not
-         stages. *)
-      let shards = shard_plan config litho chip in
-      List.concat
-        (b.dist_extract config ~condition ~chip ~mask ~subset
-           ~checkpoint:None ~ckpt_stage:"cdq" ~ckpt_extra:"" shards)
-  | _ ->
-      with_pool_opt ?pool config (fun pool ->
-          Cdex.Extract.extract ?pool ~retry:config.retry litho condition
-            ~mask:(Opc.Mask.source mask) ~gates ~slices:config.slices
-            ~tile:config.tile ()
-          |> add_silicon_noise config)
+  with_pool_opt ?pool config (fun pool ->
+      Cdex.Extract.extract ?pool ~retry:config.retry litho condition
+        ~mask:(Opc.Mask.source mask) ~gates ~slices:config.slices
+        ~tile:config.tile ()
+      |> add_silicon_noise config)
 
 let reopc_chip ?pool r chip =
   let config = r.config in
@@ -731,9 +538,7 @@ let reopc_chip ?pool r chip =
   Litho.Tile_cache.set_enabled config.cache;
   Litho.Aerial.set_engine config.engine;
   let litho = litho_model config in
-  let shards = shard_plan config litho chip in
-  with_pool_opt ?pool config (fun pool ->
-      opc_of_config ?pool config litho chip ~shards)
+  with_pool_opt ?pool config (fun pool -> opc_of_config ?pool config litho chip)
 
 (* --- statistical timing (SSTA) ------------------------------------ *)
 

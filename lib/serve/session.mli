@@ -12,7 +12,7 @@
     the warm state — what-if perturbations are computed against the
     base run and discarded — so for a given request script the
     response bytes are identical regardless of worker-domain count,
-    shard count, tile-cache state or how clients interleave, and each
+    tile-cache state or how clients interleave, and each
     reply equals the same computation performed as a cold one-shot
     run.
 

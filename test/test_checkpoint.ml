@@ -73,6 +73,34 @@ let test_run_selective_roundtrip () =
   checkb "selective checkpoint run = clean" true (render first = render clean);
   checkb "selective resume = clean" true (render resumed = render clean)
 
+(* Stage keys leave the domain count out (results are bit-identical
+   for any count), so a checkpoint written with OPC tiles and
+   extraction on a 4-domain pool resumes sequentially and vice versa,
+   loading both stages. *)
+let test_domains_interop () =
+  let clean = run_with None in
+  List.iter
+    (fun (write_at, resume_at) ->
+      let dir = temp_dir "interop" in
+      let run_at domains resume =
+        Timing_opc.Flow.run
+          { (base_config ()) with
+            Timing_opc.Flow.domains;
+            checkpoint = Some (Timing_opc.Checkpoint.create ~dir ~resume) }
+          (Lazy.force netlist)
+      in
+      let what = Printf.sprintf "written at %d, resumed at %d" write_at resume_at in
+      ignore (run_at write_at false);
+      let loaded0 = counter "flow.checkpoint.loaded" in
+      let resumed = run_at resume_at true in
+      checki (what ^ ": both stages loaded") 2
+        (counter "flow.checkpoint.loaded" - loaded0);
+      checkb (what ^ ": output = clean run") true (render resumed = render clean);
+      checkb (what ^ ": mask identical") true
+        (Opc.Mask.polygons resumed.Timing_opc.Flow.mask
+        = Opc.Mask.polygons clean.Timing_opc.Flow.mask))
+    [ (4, 1); (1, 4) ]
+
 let tamper path =
   let ic = open_in_bin path in
   let text = really_input_string ic (in_channel_length ic) in
@@ -128,6 +156,8 @@ let () =
           Alcotest.test_case "run_selective round-trip is byte-identical" `Slow
             test_run_selective_roundtrip;
         ] );
+      ( "identity",
+        [ Alcotest.test_case "checkpoint interop" `Slow test_domains_interop ] );
       ( "rejection",
         [
           Alcotest.test_case "tampered payload recomputes" `Slow

@@ -209,7 +209,9 @@ let test_montecarlo_pool_identical () =
     (seq.Sta.Montecarlo.critical_delay = par.Sta.Montecarlo.critical_delay)
 
 (* Flow-level determinism: the full layout -> OPC -> litho -> CD ->
-   STA pipeline lands on the same worst slack at 1 and 4 domains. *)
+   STA pipeline lands on the same mask, OPC stats and worst slack at
+   1 and 4 domains.  At 4 domains model-OPC tiles run as pool tasks,
+   so the mask check catches a tile merge out of canonical order. *)
 let flow_at domains =
   let c = Timing_opc.Flow.default_config () in
   let c =
@@ -230,7 +232,12 @@ let test_flow_determinism () =
     b.Timing_opc.Flow.post_opc_sta.Sta.Timing.wns;
   checkb "per-gate CDs identical" true
     (List.map (fun (c : Cdex.Gate_cd.t) -> c.Cdex.Gate_cd.cds) a.Timing_opc.Flow.cds
-    = List.map (fun (c : Cdex.Gate_cd.t) -> c.Cdex.Gate_cd.cds) b.Timing_opc.Flow.cds)
+    = List.map (fun (c : Cdex.Gate_cd.t) -> c.Cdex.Gate_cd.cds) b.Timing_opc.Flow.cds);
+  checkb "post-OPC mask identical" true
+    (Opc.Mask.polygons a.Timing_opc.Flow.mask
+    = Opc.Mask.polygons b.Timing_opc.Flow.mask);
+  checkb "OPC stats identical" true
+    (a.Timing_opc.Flow.opc_stats = b.Timing_opc.Flow.opc_stats)
 
 let () =
   Alcotest.run "exec"

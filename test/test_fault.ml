@@ -2,7 +2,9 @@
    round-trip, fault points fire deterministically, permanent
    measurement failures degrade (never abort), and — the tentpole
    property — a flow run whose transient injected faults are all
-   absorbed by retries is bit-identical to a fault-free run. *)
+   absorbed by retries is bit-identical to a fault-free run, also when
+   the faults fire inside OPC tiles and extraction buckets running as
+   pool tasks. *)
 
 let checkb = Alcotest.(check bool)
 
@@ -189,6 +191,91 @@ let transient_faults_bit_identical =
       in
       render faulted = reference)
 
+(* ---- cross-feature identity on the pool path ---- *)
+
+let counter name = Obs.Metrics.counter_value (Obs.Metrics.counter name)
+
+(* Cross-feature identity matrix: {cache} x {checkpoint} x {absorbed
+   faults under retry} x {domains 1/4}, every cell hashing to the one
+   sequential output.  At 4 domains the injected faults fire inside
+   pool-run OPC tiles and extraction buckets; a failed tile is not
+   retried on its own but fails the OPC stage, whose retry re-runs it. *)
+let test_feature_matrix () =
+  let canonical =
+    Digest.string (fst (Identity_helpers.baseline ~tile:1500 0))
+  in
+  let injected0 = counter "fault.injected" in
+  let plan =
+    match
+      Fault.parse "litho.simulate=fail1;opc.correct=fail1;cdex.measure=fail2;seed=11"
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  Fun.protect ~finally:(fun () -> Fault.set_plan None) @@ fun () ->
+  List.iter
+    (fun cache ->
+      List.iter
+        (fun with_ckpt ->
+          List.iter
+            (fun faulty ->
+              List.iter
+                (fun domains ->
+                  let what =
+                    Printf.sprintf "cache=%b ckpt=%b faults=%b domains=%d" cache
+                      with_ckpt faulty domains
+                  in
+                  Fault.set_plan (if faulty then Some plan else None);
+                  let checkpoint =
+                    if with_ckpt then
+                      Some
+                        (Timing_opc.Checkpoint.create
+                           ~dir:(Filename.temp_dir "potx_fault_" "matrix")
+                           ~resume:false)
+                    else None
+                  in
+                  let config =
+                    { (Identity_helpers.base_config ~domains ()) with
+                      Timing_opc.Flow.cache;
+                      checkpoint;
+                      retry = Fault.retrying 3 }
+                  in
+                  let r =
+                    Timing_opc.Flow.run config (Identity_helpers.netlist_of 0)
+                  in
+                  checkb (what ^ ": canonical hash") true
+                    (Digest.string (Identity_helpers.render_run r) = canonical))
+                [ 1; 4 ])
+            [ false; true ])
+        [ false; true ])
+    [ false; true ];
+  checkb "matrix really injected faults" true (counter "fault.injected" - injected0 > 0)
+
+(* Model OPC reports its tiles as one pool job per run when domains > 1
+   (and none at domains 1), and the per-tile OPC counters add up to the
+   same totals either way. *)
+let test_pool_counters () =
+  let opc_counters () =
+    List.map counter [ "opc.iterations"; "opc.epe_sites"; "opc.unresolved" ]
+  in
+  let calls () = counter "exec.pool.flow.opc.tiles.calls" in
+  let tasks () = counter "exec.pool.flow.opc.tiles.tasks" in
+  let run_at domains =
+    let o0 = opc_counters () and c0 = calls () and t0 = tasks () in
+    ignore
+      (Timing_opc.Flow.run
+         (Identity_helpers.base_config ~domains ())
+         (Identity_helpers.netlist_of 0));
+    (List.map2 ( - ) (opc_counters ()) o0, calls () - c0, tasks () - t0)
+  in
+  let seq_opc, seq_calls, _ = run_at 1 in
+  let par_opc, par_calls, par_tasks = run_at 4 in
+  checki "no OPC pool job at 1 domain" 0 seq_calls;
+  checki "one OPC pool job at 4 domains" 1 par_calls;
+  checkb "several OPC tiles on the pool" true (par_tasks > 1);
+  checkb "OPC counters moved" true (List.exists (fun d -> d > 0) seq_opc);
+  checkb "OPC counters equal at 1 and 4 domains" true (seq_opc = par_opc)
+
 let () =
   Alcotest.run "fault"
     [
@@ -215,5 +302,11 @@ let () =
           Alcotest.test_case "permanent measure fault degrades" `Slow
             test_permanent_measure_fault_degrades;
           QCheck_alcotest.to_alcotest transient_faults_bit_identical;
+        ] );
+      ( "features",
+        [
+          Alcotest.test_case "observability counters" `Slow test_pool_counters;
+          Alcotest.test_case "cache x checkpoint x faults x domains" `Slow
+            test_feature_matrix;
         ] );
     ]

@@ -2,7 +2,7 @@
    reply identity, request-order byte determinism across worker-domain
    counts, and session survival of injected faults.
 
-   The warm sessions here run the same reduced config as test_shard
+   The warm sessions here run the reduced config of Identity_helpers
    (tile=1500, 2 OPC iterations, 3 slices) so a full flow warm-up is
    cheap enough to repeat per domain count. *)
 
@@ -19,7 +19,7 @@ let checks = Alcotest.(check string)
 
 let check_ps what = Alcotest.(check (float 1e-6)) what
 
-(* The same reduced config as test_shard, via the shared kit. *)
+(* The reduced config, via the shared kit. *)
 let base_config ?domains () = Identity_helpers.base_config ?domains ()
 
 let session_for =
