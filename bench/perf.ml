@@ -11,13 +11,6 @@ let tech = Layout.Tech.node90
 
 let model = lazy (Litho.Aerial.calibrate (Litho.Model.create ()) tech)
 
-(* The FFT engine gets its own calibrated threshold, exactly as
-   [Flow.litho_model] keys calibration by engine: cross-engine CD
-   deltas then measure the pattern-dependent approximation difference,
-   not a threshold offset. *)
-let model_fft =
-  lazy (Litho.Aerial.calibrate ~engine:Litho.Aerial.Fft (Litho.Model.create ()) tech)
-
 let small_chip =
   lazy
     (let rng = Stats.Rng.create 7 in
@@ -197,99 +190,13 @@ let aerial_tiles_workload () =
         speedup_vs_1 = Some (t_seq /. t_par);
         identical = Some (rasters_identical seq par); note } ]
 
-(* ---- FFT aerial engine vs the direct oracle --------------------------
-
-   The opc_iterate work (the flow's dominant simulation shape: one
-   ~500x790 px tile per OPC iteration) run once per engine with the
-   tile cache off, so the wall-clock pair is pure convolution cost.
-   The engines are *not* bit-identical — they agree inside the
-   documented tolerance contract (DESIGN.md) — so [identical] stays
-   unset and the record instead carries the measured dense-line CD
-   delta at the flow's silicon condition, asserted against the 1 nm
-   inner-condition budget. *)
-
-let printed_cd m engine condition =
-  let l = tech.Layout.Tech.gate_length in
-  let pitch = tech.Layout.Tech.poly_pitch in
-  let nlines = 9 and height = 2000 in
-  let lines =
-    List.init nlines (fun i ->
-        let xc = pitch * i in
-        G.Polygon.of_rect
-          (G.Rect.make ~lx:(xc - (l / 2)) ~ly:0 ~hx:(xc + (l / 2)) ~hy:height))
-  in
-  let center = pitch * (nlines / 2) in
-  let window =
-    G.Rect.make ~lx:(center - pitch)
-      ~ly:((height / 2) - 300)
-      ~hx:(center + pitch)
-      ~hy:((height / 2) + 300)
-  in
-  let img = Litho.Aerial.simulate ~engine m condition ~window lines in
-  let th = Litho.Model.printed_threshold m condition in
-  let y = float_of_int (height / 2) in
-  let value x = Litho.Raster.sample img x y -. th in
-  let bisect lo hi =
-    let rec go lo hi i =
-      if i = 0 then (lo +. hi) /. 2.0
-      else
-        let mid = (lo +. hi) /. 2.0 in
-        if value lo *. value mid <= 0.0 then go lo mid (i - 1) else go mid hi (i - 1)
-    in
-    go lo hi 60
-  in
-  let cx = float_of_int center in
-  let hl = float_of_int l /. 2.0 in
-  bisect cx (cx +. (2.0 *. hl)) -. bisect (cx -. (2.0 *. hl)) cx
-
-let fft_vs_direct_workload () =
-  with_cache_off @@ fun () ->
-  let saved = Litho.Aerial.engine () in
-  Fun.protect ~finally:(fun () -> Litho.Aerial.set_engine saved) @@ fun () ->
-  let n = if !Common.quick then 3 else 6 in
-  let iterations = if !Common.quick then 3 else 5 in
-  let cfg = { (Opc.Model_opc.default_config tech) with Opc.Model_opc.iterations } in
-  let cluster i =
-    List.init 3 (fun j ->
-        let x = (i * 4000) + (j * 260) in
-        G.Polygon.of_rect (G.Rect.make ~lx:x ~ly:0 ~hx:(x + 90) ~hy:2000))
-  in
-  let run_at m engine =
-    (* OPC picks the engine off the process-global switch, exactly as
-       [Flow.run] configures it. *)
-    Litho.Aerial.set_engine engine;
-    Gc.compact ();
-    time (fun () ->
-        List.init n (fun i ->
-            fst (Opc.Model_opc.correct m cfg ~targets:(cluster i) ~context:[])))
-  in
-  let _, t_direct = run_at (Lazy.force model) Litho.Aerial.Direct in
-  let _, t_fft = run_at (Lazy.force model_fft) Litho.Aerial.Fft in
-  let silicon = Litho.Condition.make ~dose:1.015 ~defocus:70.0 in
-  let cd_delta =
-    Float.abs
-      (printed_cd (Lazy.force model) Litho.Aerial.Direct silicon
-      -. printed_cd (Lazy.force model_fft) Litho.Aerial.Fft silicon)
-  in
-  (* The inner-condition budget from the engine tolerance contract. *)
-  assert (cd_delta <= 1.0);
-  { (base_record ~workload:"aerial_fft_vs_direct" ~tasks:n ~wall_s:t_direct) with
-    wall_cached_s = Some t_fft;
-    speedup_cached = Some (t_direct /. t_fft);
-    note =
-      Some
-        (Printf.sprintf
-           "%d clusters x %d model-OPC iterations per engine, cache off; \
-            dense-line |dCD|=%.3fnm at silicon condition (budget 1.0nm)"
-           n iterations cd_delta) }
-
 (* ---- SSTA canonical propagation vs the Monte-Carlo oracle -----------
 
    One closed-form canonical-propagation pass over a 6-bit multiplier
    vs the Monte-Carlo trial count it replaces at comparable accuracy
    (~1000 trials puts the mean's standard error inside the documented
    2% differential band — DESIGN.md, "SSTA tolerance contract").
-   Following the engine-pair convention above, [wall_s] is the slow
+   Following the oracle-pair convention, [wall_s] is the slow
    oracle (MC), [wall_cached_s] the SSTA pass and [speedup_cached]
    the tracked ratio (expected well above 10x).  The record also
    asserts the accuracy that justifies the substitution: SSTA's worst
@@ -507,12 +414,10 @@ let serve_queries_workload () =
                n n t_warmup) })
     warm cold
 
-(* The corner verb is the serve workload the FFT engine was built for:
-   a warm query is almost pure re-simulation (every per-gate extraction
-   window at a fresh defocus), so the engine choice moves the warm
-   latency directly.  One record per engine, each warm-vs-cold on its
-   own engine so the bit-identity check still holds within a record. *)
-let serve_corner_engines_workload () =
+(* The corner verb: a warm query is almost pure re-simulation (every
+   per-gate extraction window at a fresh defocus), so it times the
+   aerial engine's warm latency directly against cold one-shot runs. *)
+let serve_corner_workload () =
   let module P = Timing_opc_serve.Protocol in
   let module Session = Timing_opc_serve.Session in
   let netlist () = Circuit.Generator.c17 () in
@@ -521,44 +426,37 @@ let serve_corner_engines_workload () =
   let reply_string reply =
     P.response_to_string { P.id = 0; verb = Some "corner"; reply }
   in
-  let saved = Litho.Aerial.engine () in
-  Fun.protect ~finally:(fun () -> Litho.Aerial.set_engine saved) @@ fun () ->
-  List.map
-    (fun engine ->
-      let tag = Litho.Aerial.engine_to_string engine in
-      let config = { (Common.config ()) with Timing_opc.Flow.engine } in
-      Litho.Tile_cache.clear Litho.Tile_cache.global;
-      Gc.compact ();
-      let session, t_warmup =
-        time (fun () -> Session.create ~bench:"c17" config (netlist ()))
-      in
-      let warm_replies, t_warm =
-        Fun.protect ~finally:(fun () -> Session.close session) @@ fun () ->
-        time (fun () ->
-            List.init n (fun _ -> reply_string (Session.handle session request)))
-      in
-      let cold_replies, t_cold =
-        time (fun () ->
-            List.init n (fun _ ->
-                Litho.Tile_cache.clear Litho.Tile_cache.global;
-                let s = Session.create ~bench:"c17" config (netlist ()) in
-                Fun.protect
-                  ~finally:(fun () -> Session.close s)
-                  (fun () -> reply_string (Session.handle s request))))
-      in
-      { (base_record ~workload:("serve_corner." ^ tag) ~tasks:n ~wall_s:t_cold)
-        with
-        domains_used = Common.domains;
-        wall_cached_s = Some t_warm;
-        speedup_cached = Some (t_cold /. t_warm);
-        identical = Some (warm_replies = cold_replies);
-        note =
-          Some
-            (Printf.sprintf
-               "corner queries on the %s engine: %d cold one-shots vs %d \
-                warm-session queries (warmup %.3fs paid once)"
-               tag n n t_warmup) })
-    [ Litho.Aerial.Direct; Litho.Aerial.Fft ]
+  let config = Common.config () in
+  Litho.Tile_cache.clear Litho.Tile_cache.global;
+  Gc.compact ();
+  let session, t_warmup =
+    time (fun () -> Session.create ~bench:"c17" config (netlist ()))
+  in
+  let warm_replies, t_warm =
+    Fun.protect ~finally:(fun () -> Session.close session) @@ fun () ->
+    time (fun () ->
+        List.init n (fun _ -> reply_string (Session.handle session request)))
+  in
+  let cold_replies, t_cold =
+    time (fun () ->
+        List.init n (fun _ ->
+            Litho.Tile_cache.clear Litho.Tile_cache.global;
+            let s = Session.create ~bench:"c17" config (netlist ()) in
+            Fun.protect
+              ~finally:(fun () -> Session.close s)
+              (fun () -> reply_string (Session.handle s request))))
+  in
+  { (base_record ~workload:"serve_corner" ~tasks:n ~wall_s:t_cold) with
+    domains_used = Common.domains;
+    wall_cached_s = Some t_warm;
+    speedup_cached = Some (t_cold /. t_warm);
+    identical = Some (warm_replies = cold_replies);
+    note =
+      Some
+        (Printf.sprintf
+           "corner queries: %d cold one-shots vs %d warm-session queries \
+            (warmup %.3fs paid once)"
+           n n t_warmup) }
 
 let cache_workloads () =
   let was = Litho.Tile_cache.enabled () in
@@ -689,16 +587,14 @@ let json_of_records oc records stages =
 let run_parallel_workloads () =
   Format.printf "@.######## PERF: multicore aerial-image workload ########@.";
   let records = aerial_tiles_workload () in
-  Format.printf "@.######## PERF: FFT aerial engine vs direct oracle ########@.";
-  let records = records @ [ fft_vs_direct_workload () ] in
   Format.printf "@.######## PERF: SSTA vs Monte-Carlo oracle ########@.";
   let records = records @ [ ssta_vs_mc_workload () ] in
   Format.printf "@.######## PERF: litho tile-cache workloads ########@.";
   let records = records @ cache_workloads () in
   Format.printf "@.######## PERF: warm serve session vs cold one-shot queries ########@.";
   let records = records @ serve_queries_workload () in
-  Format.printf "@.######## PERF: serve corner queries per engine ########@.";
-  let records = records @ serve_corner_engines_workload () in
+  Format.printf "@.######## PERF: serve corner queries ########@.";
+  let records = records @ [ serve_corner_workload () ] in
   Format.printf "@.######## PERF: span-tracing overhead ablation ########@.";
   let records = records @ [ profile_overhead_workload () ] in
   List.iter

@@ -30,7 +30,7 @@ done
 # Pin the environment knobs so a developer's shell cannot skew the
 # candidate run relative to the baseline.
 unset POTX_DOMAINS POTX_FAULTS POTX_RETRIES \
-  POTX_CACHE POTX_ENGINE POTX_TRACE POTX_METRICS POTX_PROFILE
+  POTX_CACHE POTX_TRACE POTX_METRICS POTX_PROFILE
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -42,20 +42,14 @@ echo "== perfdiff: fresh quick perf bench =="
   exit 1
 }
 
-# The engine-comparison workloads time sub-second convolution pairs
-# whose ratio (not absolute wall) is the tracked number, so they get
-# a 100% band too.
-# ssta_vs_mc likewise tracks a ratio (MC oracle wall vs a
-# sub-millisecond closed-form pass), so its absolute walls get the
-# same wide band.
-ENGINE_TOL="--tolerance-for aerial_fft_vs_direct=1.0 \
-  --tolerance-for serve_corner.direct=1.0 --tolerance-for serve_corner.fft=1.0 \
-  --tolerance-for ssta_vs_mc=1.0"
+# ssta_vs_mc tracks a ratio (MC oracle wall vs a sub-millisecond
+# closed-form pass), not an absolute wall, so it gets a 100% band.
+SSTA_TOL="--tolerance-for ssta_vs_mc=1.0"
 if [ "${POTX_PERF_GATE:-0}" = "1" ]; then
   "$POTX" perfdiff --baseline "$BASELINE" --candidate "$work/BENCH_perf.json" \
-    $ENGINE_TOL --gate
+    $SSTA_TOL --gate
 else
   "$POTX" perfdiff --baseline "$BASELINE" --candidate "$work/BENCH_perf.json" \
-    $ENGINE_TOL || exit $?
+    $SSTA_TOL || exit $?
   echo "perfdiff.sh: timing regressions (if any) are non-fatal; set POTX_PERF_GATE=1 to gate"
 fi

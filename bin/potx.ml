@@ -23,19 +23,6 @@ let netlist_of_name seed name =
 let resolve_domains flag =
   if flag > 0 then flag else Exec.Pool.env_domains ~default:1 ()
 
-(* Aerial engine: the --engine flag when non-empty, else POTX_ENGINE,
-   else direct.  Direct is the oracle every golden is recorded
-   against; fft/auto trade bit-identity (within the DESIGN.md
-   tolerance contract) for wall time. *)
-let resolve_engine flag =
-  if flag = "" then Litho.Aerial.env_engine ()
-  else
-    match Litho.Aerial.engine_of_string flag with
-    | Some e -> e
-    | None ->
-        failwith
-          (Printf.sprintf "unknown engine %s (want direct, fft or auto)" flag)
-
 (* Observability sinks: --trace/--metrics flags when non-empty, else
    the POTX_TRACE/POTX_METRICS environment variables.  With neither,
    tracing stays disabled and the run is byte-identical to an
@@ -97,7 +84,7 @@ let resolve_faults flag =
 (* The flow config shared by the one-shot run and the resident
    service; both hand it to Timing_opc_serve.Session, which runs the
    flow once and keeps the result warm. *)
-let flow_config ~opc ~seed ~dose ~defocus ~domains ~no_cache ~engine ~retries
+let flow_config ~opc ~seed ~dose ~defocus ~domains ~no_cache ~retries
     ~checkpoint_dir ~resume () =
   let base = Timing_opc.Flow.default_config () in
   let opc_style =
@@ -113,7 +100,6 @@ let flow_config ~opc ~seed ~dose ~defocus ~domains ~no_cache ~engine ~retries
     condition = Litho.Condition.make ~dose ~defocus;
     domains = resolve_domains domains;
     cache = base.Timing_opc.Flow.cache && not no_cache;
-    engine = resolve_engine engine;
     retry = (if retries > 0 then Fault.retrying retries else Fault.env_retry ());
     checkpoint =
       (if checkpoint_dir = "" then None
@@ -127,11 +113,11 @@ let with_session ~bench config f =
     (fun () -> f session)
 
 let run_flow bench opc seed dose defocus spread report selective ssta domains
-    no_cache engine faults retries checkpoint_dir resume trace metrics profile =
+    no_cache faults retries checkpoint_dir resume trace metrics profile =
   with_obs ~profile ~trace ~metrics @@ fun () ->
   Fault.set_plan (resolve_faults faults);
   let config =
-    flow_config ~opc ~seed ~dose ~defocus ~domains ~no_cache ~engine ~retries
+    flow_config ~opc ~seed ~dose ~defocus ~domains ~no_cache ~retries
       ~checkpoint_dir ~resume ()
   in
   Format.printf "flow: %s, OPC=%s, silicon %a, seed %d, domains %d@." bench opc
@@ -141,12 +127,12 @@ let run_flow bench opc seed dose defocus spread report selective ssta domains
   Timing_opc_serve.Session.print_report Format.std_formatter session ~spread
     ~report ~selective ~ssta
 
-let serve_flow bench opc seed dose defocus domains no_cache engine faults
-    retries socket slowlog_ms slowlog_file trace metrics profile =
+let serve_flow bench opc seed dose defocus domains no_cache faults retries
+    socket slowlog_ms slowlog_file trace metrics profile =
   with_obs ~profile ~trace ~metrics @@ fun () ->
   Fault.set_plan (resolve_faults faults);
   let config =
-    flow_config ~opc ~seed ~dose ~defocus ~domains ~no_cache ~engine ~retries
+    flow_config ~opc ~seed ~dose ~defocus ~domains ~no_cache ~retries
       ~checkpoint_dir:"" ~resume:false ()
   in
   (* The slow-query log goes to stderr unless a file is named; it must
@@ -235,19 +221,6 @@ let no_cache_arg =
            (results are bit-identical either way; this trades wall time for \
            memory).  $(b,POTX_CACHE)=0 in the environment does the same.")
 
-let engine_arg =
-  Arg.(
-    value & opt string ""
-    & info [ "engine" ]
-        ~doc:
-          "Aerial convolution engine: $(b,direct) (per-kernel box-blur \
-           cascade — the oracle every golden is recorded against), $(b,fft) \
-           (one mask spectrum shared by the whole kernel stack, applied in \
-           the frequency domain — same images within the tolerance contract \
-           in DESIGN.md, several times faster on OPC-sized tiles) or \
-           $(b,auto) (per-tile choice by pixel count).  Empty = take \
-           $(b,POTX_ENGINE) from the environment, else direct.")
-
 let faults_arg =
   Arg.(
     value & opt string ""
@@ -322,9 +295,8 @@ let run_cmd =
     Term.(
       const run_flow $ bench_arg $ opc_arg $ seed_arg $ dose_arg $ defocus_arg
       $ spread_arg $ report_arg $ selective_arg $ ssta_arg $ domains_arg
-      $ no_cache_arg $ engine_arg $ faults_arg
-      $ retries_arg $ checkpoint_arg $ resume_arg $ trace_arg $ metrics_arg
-      $ profile_arg)
+      $ no_cache_arg $ faults_arg $ retries_arg $ checkpoint_arg $ resume_arg
+      $ trace_arg $ metrics_arg $ profile_arg)
 
 let socket_arg =
   Arg.(
@@ -378,9 +350,9 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc ~man)
     Term.(
       const serve_flow $ bench_arg $ opc_arg $ seed_arg $ dose_arg
-      $ defocus_arg $ domains_arg $ no_cache_arg
-      $ engine_arg $ faults_arg $ retries_arg $ socket_arg $ slowlog_arg
-      $ slowlog_file_arg $ trace_arg $ metrics_arg $ profile_arg)
+      $ defocus_arg $ domains_arg $ no_cache_arg $ faults_arg $ retries_arg
+      $ socket_arg $ slowlog_arg $ slowlog_file_arg $ trace_arg $ metrics_arg
+      $ profile_arg)
 
 (* ---- cells ---- *)
 
@@ -467,19 +439,18 @@ let export_cmd =
 
 (* ---- cds ---- *)
 
-let export_cds bench seed path domains no_cache engine trace metrics =
+let export_cds bench seed path domains no_cache trace metrics =
   with_obs ~trace ~metrics @@ fun () ->
   let base = Timing_opc.Flow.default_config () in
   let config =
     { base with
       Timing_opc.Flow.seed;
       domains = resolve_domains domains;
-      cache = base.Timing_opc.Flow.cache && not no_cache;
-      engine = resolve_engine engine }
+      cache = base.Timing_opc.Flow.cache && not no_cache }
   in
   let r = Timing_opc.Flow.run config (netlist_of_name seed bench) in
-  (* Exact (hex-float) CDs: cdcmp deltas must reflect the engines, not
-     a decimal-printing round trip. *)
+  (* Exact (hex-float) CDs: a diff of two exports compares the CDs
+     themselves, not a decimal-printing round trip. *)
   Cdex.Csv.save_file ~exact:true path r.Timing_opc.Flow.cds;
   Format.printf "wrote %s (%d gate-CD records)@." path (List.length r.Timing_opc.Flow.cds)
 
@@ -489,94 +460,7 @@ let cds_cmd =
     (Cmd.info "cds" ~doc:"run the flow and export the extracted gate CDs as CSV")
     Term.(
       const export_cds $ bench_arg $ seed_arg $ out $ domains_arg $ no_cache_arg
-      $ engine_arg $ trace_arg $ metrics_arg)
-
-(* ---- cdcmp ---- *)
-
-(* Compare two CD exports slice by slice — the acceptance check of the
-   engine tolerance contract: extract once per engine with [potx cds
-   --engine ...], then assert the worst slice delta fits the budget.
-   Records are joined on (gate site, condition); a gate printing under
-   one engine but not the other is always fatal (that is a CD the
-   budget cannot express). *)
-
-let cdcmp file_a file_b budget =
-  let a = Cdex.Csv.load_file file_a and b = Cdex.Csv.load_file file_b in
-  let key (r : Cdex.Gate_cd.t) =
-    Printf.sprintf "%s|%h|%h"
-      (Layout.Chip.gate_key r.Cdex.Gate_cd.gate)
-      r.Cdex.Gate_cd.condition.Litho.Condition.dose
-      r.Cdex.Gate_cd.condition.Litho.Condition.defocus
-  in
-  let tbl = Hashtbl.create (List.length b) in
-  List.iter (fun r -> Hashtbl.replace tbl (key r) r) b;
-  let problems = ref [] in
-  let problem fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  if List.length a <> List.length b then
-    problem "record counts differ: %d in %s, %d in %s" (List.length a) file_a
-      (List.length b) file_b;
-  let pairs = ref 0 and sum = ref 0.0 in
-  let max_d = ref 0.0 and max_site = ref "-" in
-  List.iter
-    (fun (ra : Cdex.Gate_cd.t) ->
-      match Hashtbl.find_opt tbl (key ra) with
-      | None ->
-          problem "%s: no matching record in %s"
-            (Layout.Chip.gate_key ra.Cdex.Gate_cd.gate) file_b
-      | Some rb ->
-          if List.length ra.Cdex.Gate_cd.cds <> List.length rb.Cdex.Gate_cd.cds
-          then
-            problem "%s: printed slice counts differ (%d vs %d)"
-              (Layout.Chip.gate_key ra.Cdex.Gate_cd.gate)
-              (List.length ra.Cdex.Gate_cd.cds)
-              (List.length rb.Cdex.Gate_cd.cds)
-          else
-            List.iter2
-              (fun ca cb ->
-                let d = Float.abs (ca -. cb) in
-                incr pairs;
-                sum := !sum +. d;
-                if d > !max_d then begin
-                  max_d := d;
-                  max_site := Layout.Chip.gate_key ra.Cdex.Gate_cd.gate
-                end)
-              ra.Cdex.Gate_cd.cds rb.Cdex.Gate_cd.cds)
-    a;
-  Format.printf "cdcmp: %d records, %d slice pairs@." (List.length a) !pairs;
-  if !pairs > 0 then
-    Format.printf "cdcmp: max|dCD|=%.4fnm at %s, mean|dCD|=%.4fnm (budget %.3fnm)@."
-      !max_d !max_site
-      (!sum /. float_of_int !pairs)
-      budget;
-  if !max_d > budget then problem "max|dCD|=%.4fnm exceeds budget %.3fnm" !max_d budget;
-  match List.rev !problems with
-  | [] -> Format.printf "cdcmp: OK@."
-  | ps ->
-      List.iter (fun p -> Format.eprintf "cdcmp: %s@." p) ps;
-      exit 1
-
-let cdcmp_cmd =
-  let file n doc =
-    Arg.(required & pos n (some string) None & info [] ~doc ~docv:"CSV")
-  in
-  let budget =
-    Arg.(
-      value & opt float 1.0
-      & info [ "budget" ]
-          ~doc:
-            "Maximum allowed per-slice |CD| delta, nm.  Exits nonzero when \
-             the worst pair exceeds it.  The committed engine budget lives \
-             in DESIGN.md; bin/smoke.sh gates direct-vs-fft extraction on \
-             it.")
-  in
-  Cmd.v
-    (Cmd.info "cdcmp"
-       ~doc:"diff two CD CSV exports slice-by-slice against a budget (nm)")
-    Term.(
-      const cdcmp
-      $ file 0 "Reference CD export (potx cds)."
-      $ file 1 "Candidate CD export to compare."
-      $ budget)
+      $ trace_arg $ metrics_arg)
 
 (* ---- obs-check ---- *)
 
@@ -597,7 +481,7 @@ let contains ~needle hay =
    flow binary that fails to surface them has lost its wiring. *)
 let accel_metrics =
   [ "litho.cache.hits"; "litho.cache.misses"; "litho.cache.evictions";
-    "litho.cache.bytes"; "opc.dirty_tiles"; "opc.clean_tiles" ]
+    "litho.cache.bytes" ]
 
 (* Likewise the robustness layer: fault points, retry supervision and
    the checkpoint store all register their counters at module load. *)
@@ -1155,5 +1039,5 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ run_cmd; serve_cmd; cells_cmd; litho_cmd; drc_cmd;
-            liberty_cmd; export_cmd; cds_cmd; cdcmp_cmd; obs_check_cmd;
+            liberty_cmd; export_cmd; cds_cmd; obs_check_cmd;
             obs_report_cmd; perfdiff_cmd ]))

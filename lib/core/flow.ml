@@ -14,7 +14,6 @@ type config = {
   slices : int;
   domains : int;
   cache : bool;
-  engine : Litho.Aerial.engine;
   retry : Fault.retry;
   checkpoint : Checkpoint.t option;
 }
@@ -38,7 +37,6 @@ let default_config () =
     slices = 7;
     domains = 1;
     cache = Litho.Tile_cache.env_enabled ();
-    engine = Litho.Aerial.env_engine ();
     retry = Fault.no_retry;
     checkpoint = None;
   }
@@ -95,22 +93,14 @@ let with_flow_pool config f =
 
 let model_cache : (string, Litho.Model.t) Hashtbl.t = Hashtbl.create 4
 
-(* Memoised per (technology, engine): calibration simulates the
-   reference pattern on the engine that will simulate production tiles
-   (see Litho.Aerial.calibrate), so each engine gets its own centred
-   threshold and the entries must not alias. *)
+(* Memoised per technology: calibration simulates the reference
+   pattern once per process. *)
 let litho_model config =
-  let key =
-    config.tech.Layout.Tech.name ^ "|"
-    ^ Litho.Aerial.engine_to_string config.engine
-  in
+  let key = config.tech.Layout.Tech.name in
   match Hashtbl.find_opt model_cache key with
   | Some m -> m
   | None ->
-      let m =
-        Litho.Aerial.calibrate ~engine:config.engine (Litho.Model.create ())
-          config.tech
-      in
+      let m = Litho.Aerial.calibrate (Litho.Model.create ()) config.tech in
       Hashtbl.add model_cache key m;
       m
 
@@ -224,10 +214,7 @@ let opc_style_tag = function
    Domain count and the litho tile cache are deliberately excluded:
    results are bit-identical across both (see Exec.Pool and
    Litho.Tile_cache), so a checkpoint written at one domain count
-   resumes cleanly at another.  The aerial engine is included: the
-   direct and FFT engines agree only within the tolerance contract
-   (DESIGN.md), so a checkpoint recorded under one must never resume a
-   run configured for the other. *)
+   resumes cleanly at another. *)
 let opc_key config ~extra chip =
   let oc = config.opc_config in
   Digest.to_hex
@@ -245,10 +232,7 @@ let opc_key config ~extra chip =
             hex oc.Opc.Model_opc.search;
             string_of_int oc.Opc.Model_opc.mask_grid;
             string_of_int oc.Opc.Model_opc.min_mask_space;
-            string_of_bool oc.Opc.Model_opc.incremental;
-            string_of_int oc.Opc.Model_opc.sim_tile;
             string_of_int config.tile;
-            Litho.Aerial.engine_to_string config.engine;
             extra;
             chip_digest chip;
           ]))
@@ -303,7 +287,6 @@ let cds_key config ~extra ~mask ~chip =
             hex config.cd_noise_gate;
             hex config.cd_noise_slice;
             string_of_int config.seed;
-            Litho.Aerial.engine_to_string config.engine;
             extra;
           ]))
 
@@ -371,7 +354,6 @@ let run config netlist =
   @@ fun () ->
   Obs.Metrics.incr m_runs;
   Litho.Tile_cache.set_enabled config.cache;
-  Litho.Aerial.set_engine config.engine;
   let litho =
     supervised ~name:"flow.litho_model" config (fun () -> litho_model config)
   in
@@ -458,7 +440,6 @@ let run_selective r ~selected =
   @@ fun () ->
   let config = r.config in
   Litho.Tile_cache.set_enabled config.cache;
-  Litho.Aerial.set_engine config.engine;
   let litho = litho_model config in
   (* Selective runs checkpoint under their own stage names with the
      selected-gate set folded into the key, so a full-run checkpoint in
@@ -524,7 +505,6 @@ let extract_at ?pool ?gates ?condition ?chip ?mask r =
     ~attrs:(fun () -> [ ("gates", string_of_int (List.length gates)) ])
   @@ fun () ->
   Litho.Tile_cache.set_enabled config.cache;
-  Litho.Aerial.set_engine config.engine;
   let litho = litho_model config in
   with_pool_opt ?pool config (fun pool ->
       Cdex.Extract.extract ?pool ~retry:config.retry litho condition
@@ -536,7 +516,6 @@ let reopc_chip ?pool r chip =
   let config = r.config in
   Obs.Span.with_ ~name:"flow.reopc_chip" @@ fun () ->
   Litho.Tile_cache.set_enabled config.cache;
-  Litho.Aerial.set_engine config.engine;
   let litho = litho_model config in
   with_pool_opt ?pool config (fun pool -> opc_of_config ?pool config litho chip)
 

@@ -38,18 +38,6 @@ type config = {
           so this changes wall time only.  [run]/[run_selective] apply
           it process-wide for the duration of the run.  Default follows
           the [POTX_CACHE] environment variable (unset = on) *)
-  engine : Litho.Aerial.engine;
-      (** aerial-image convolution engine ([Litho.Aerial]): [Direct] is
-          the per-kernel box-blur cascade every golden is recorded
-          against; [Fft] computes the mask spectrum once and applies
-          the whole kernel stack in the frequency domain — same images
-          within the documented tolerance contract (DESIGN.md), several
-          times faster on OPC-sized tiles; [Auto] picks per tile by
-          pixel count.  Applied process-wide by [run]/[run_selective]
-          and the warm re-query entry points; part of the litho model
-          calibration key, the tile-cache key and every checkpoint key,
-          so engines never share cached or checkpointed state.  Default
-          follows [POTX_ENGINE] (unset = direct) *)
   retry : Fault.retry;
       (** bounded-backoff supervision applied to every flow stage, to
           extraction pool tasks and to per-gate CD measurement (default
@@ -177,8 +165,7 @@ val extract_at :
   Cdex.Gate_cd.t list
 
 (** Full-chip OPC of a replacement chip under the run's config (style,
-    pool-parallel tiles, dirty-tile incremental simulation and tile
-    cache all as in {!run}) — the mask side of a geometric what-if.
+    pool-parallel tiles and tile cache all as in {!run}) — the mask side of a geometric what-if.
     Uses [pool] when given, else an internal pool per
     [config.domains].  No checkpointing. *)
 val reopc_chip :

@@ -6,73 +6,16 @@ let () = Fault.declare "litho.simulate"
 
 let m_tiles = Obs.Metrics.counter "litho.tiles"
 
-let m_engine_direct = Obs.Metrics.counter "litho.engine.direct"
-
-let m_engine_fft = Obs.Metrics.counter "litho.engine.fft"
-
-(* ---- engine selection --------------------------------------------
-
-   Two convolution engines produce the aerial image: [Direct] is the
-   seed's per-kernel 3-pass box-blur cascade (the bit-identity oracle
-   every golden is recorded against) and [Fft] computes the mask
-   spectrum once and applies the whole kernel stack as a single
-   frequency-domain multiply with the analytic Gaussian transfer
-   function (see {!Fft.convolve_gaussians}).  [Auto] resolves per
-   tile: the transform pays for itself on large tiles, while small
-   tiles stay on the direct path.  The resolved engine is part of the
-   tile-cache key, so the engines never share cache entries. *)
-
-type engine = Direct | Fft | Auto
-
-let engine_to_string = function Direct -> "direct" | Fft -> "fft" | Auto -> "auto"
-
-let engine_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "direct" -> Some Direct
-  | "fft" -> Some Fft
-  | "auto" -> Some Auto
-  | _ -> None
-
-let env_engine ?(var = "POTX_ENGINE") ?(default = Direct) () =
-  match Option.bind (Sys.getenv_opt var) engine_of_string with
-  | Some e -> e
-  | None -> default
-
-let engine_switch = Atomic.make (env_engine ())
-
-let engine () = Atomic.get engine_switch
-
-let set_engine e = Atomic.set engine_switch e
-
-(* Auto crossover: below this pixel count the box cascade wins on raw
-   constant factors; above it the shared-spectrum transform does.  The
-   padded-area guard keeps Auto off the FFT when power-of-two rounding
-   would almost quadruple the grid (worst case is 4x just above a
-   power of two in both axes). *)
-let fft_threshold_px = 65536
-
-let resolve_engine e shape =
-  match e with
-  | (Direct | Fft) as e -> e
-  | Auto ->
-      let nx = Raster.nx shape and ny = Raster.ny shape in
-      let n = nx * ny in
-      let padded = Fft.next_pow2 nx * Fft.next_pow2 ny in
-      if n >= fft_threshold_px && padded <= 3 * n then Fft else Direct
-
 (* ---- content-addressed simulation keys ---------------------------
 
    A simulated tile is a pure function of (mask content inside the
-   raster extent, raster geometry, defocus-adjusted kernel stack,
-   resolved engine).  Expressing the mask content as the ordered list
-   of polygon decomposition rectangles clipped to the extent and
-   *translated to the raster origin* makes the key
-   translation-invariant, so repeated cell rows hit anywhere on the
-   chip.  Dose is deliberately absent: it scales only
+   raster extent, raster geometry, defocus-adjusted kernel stack).
+   Expressing the mask content as the ordered list of polygon
+   decomposition rectangles clipped to the extent and *translated to
+   the raster origin* makes the key translation-invariant, so repeated
+   cell rows hit anywhere on the chip.  Dose is deliberately absent: it scales only
    [Model.printed_threshold], never the intensity, so a dose sweep at
-   fixed defocus is a single cache entry.  The engine tag is not:
-   direct and FFT intensities differ inside the tolerance contract,
-   and one key must never serve both. *)
+   fixed defocus is a single cache entry. *)
 
 (* Pixel extent of a raster in layout nm, rounded outward.  Clipping a
    mask rectangle to this extent changes no painted pixel: boundary
@@ -94,13 +37,11 @@ let clipped_rects raster polygons =
         (G.Region.to_rects (G.Region.of_polygon p)))
     polygons
 
-let cache_key eng (model : Model.t) (condition : Condition.t) raster rects =
+let cache_key (model : Model.t) (condition : Condition.t) raster rects =
   let b = Buffer.create 256 in
   let o = Raster.origin raster in
   Buffer.add_string b
-    (Printf.sprintf "v2|%s|%dx%d|%h|"
-       (match eng with Direct -> "d" | Fft -> "f" | Auto -> "a")
-       (Raster.nx raster) (Raster.ny raster) (Raster.step raster));
+    (Printf.sprintf "v3|%dx%d|%h|" (Raster.nx raster) (Raster.ny raster) (Raster.step raster));
   List.iter
     (fun (k : Model.kernel) ->
       Buffer.add_string b
@@ -132,10 +73,12 @@ let mask_raster (model : Model.t) ~window polygons =
   paint_mask raster (clipped_rects raster polygons);
   raster
 
-(* The direct (oracle) path: one box-blur cascade per kernel, blended
-   in kernel order on the calling domain so the accumulated image is
-   bit-identical for any worker count. *)
-let convolve_direct ?pool (model : Model.t) (condition : Condition.t) mask =
+(* One box-blur cascade per kernel, blended in kernel order on the
+   calling domain so the accumulated image is bit-identical for any
+   worker count.  Without a pool each kernel is blended as soon as it
+   is blurred, so one blurred copy is live at a time, not one per
+   kernel. *)
+let convolve ?pool (model : Model.t) (condition : Condition.t) mask =
   let intensity = Raster.like mask in
   let blur (k : Model.kernel) =
     let sigma = Model.effective_sigma model k ~defocus:condition.Condition.defocus in
@@ -143,51 +86,15 @@ let convolve_direct ?pool (model : Model.t) (condition : Condition.t) mask =
     Blur.gaussian blurred ~sigma_px:(sigma /. model.Model.step);
     blurred
   in
-  let blurred =
-    match pool with
-    | None -> List.map blur model.Model.kernels
-    | Some p -> Exec.Pool.map_list ~label:"aerial.kernels" p blur model.Model.kernels
-  in
-  List.iter2
-    (fun (k : Model.kernel) b -> Raster.blend ~dst:intensity ~src:b ~w:k.Model.weight)
-    model.Model.kernels blurred;
+  let blend (k : Model.kernel) b = Raster.blend ~dst:intensity ~src:b ~w:k.Model.weight in
+  (match pool with
+  | None -> List.iter (fun k -> blend k (blur k)) model.Model.kernels
+  | Some p ->
+      List.iter2 blend model.Model.kernels
+        (Exec.Pool.map_list ~label:"aerial.kernels" p blur model.Model.kernels));
   intensity
 
-(* Sigma the direct cascade actually realises: three integer-width box
-   passes match the Gaussian variance only up to width quantisation
-   (a discrete box of width w has variance (w^2-1)/12), and that ~1-2%
-   width error moves printed edges by over a nanometre at defocus.
-   The FFT engine uses the analytic Gaussian at the cascade's achieved
-   variance, cancelling the first-order width error so the
-   cross-engine CD delta is down to the residual shape (kurtosis)
-   difference.  Below the cascade's no-op threshold the kernel is an
-   identity for both engines. *)
-let cascade_sigma_px sigma_px =
-  if sigma_px <= 0.25 then 0.0
-  else
-    Blur.box_sizes ~sigma:sigma_px ~passes:3
-    |> Array.fold_left
-         (fun acc w -> acc +. (float_of_int ((w * w) - 1) /. 12.0))
-         0.0
-    |> sqrt
-
-(* The FFT path mutates the mask into the intensity in place: one
-   forward transform, one multiply by the accumulated transfer
-   function of the whole kernel stack, one inverse transform. *)
-let convolve_fft (model : Model.t) (condition : Condition.t) mask =
-  let kernels =
-    List.map
-      (fun (k : Model.kernel) ->
-        ( cascade_sigma_px
-            (Model.effective_sigma model k ~defocus:condition.Condition.defocus
-            /. model.Model.step),
-          k.Model.weight ))
-      model.Model.kernels
-  in
-  Fft.convolve_gaussians mask ~kernels;
-  mask
-
-let simulate ?pool ?engine:e (model : Model.t) (condition : Condition.t) ~window
+let simulate ?pool (model : Model.t) (condition : Condition.t) ~window
     polygons =
   Obs.Span.with_ ~name:"litho.simulate"
     ~attrs:(fun () -> [ ("polygons", string_of_int (List.length polygons)) ])
@@ -202,13 +109,9 @@ let simulate ?pool ?engine:e (model : Model.t) (condition : Condition.t) ~window
   let shape =
     Raster.shape_of_window ~window ~halo:model.Model.halo ~step:model.Model.step
   in
-  let eng =
-    resolve_engine (match e with Some e -> e | None -> engine ()) shape
-  in
-  Obs.Metrics.incr (match eng with Fft -> m_engine_fft | _ -> m_engine_direct);
   let rects = clipped_rects shape polygons in
   let key =
-    if Tile_cache.enabled () then Some (cache_key eng model condition shape rects)
+    if Tile_cache.enabled () then Some (cache_key model condition shape rects)
     else None
   in
   match
@@ -218,37 +121,29 @@ let simulate ?pool ?engine:e (model : Model.t) (condition : Condition.t) ~window
   | None ->
       let mask = Raster.like shape in
       paint_mask mask rects;
-      let intensity =
-        match eng with
-        | Fft -> convolve_fft model condition mask
-        | Direct | Auto -> convolve_direct ?pool model condition mask
-      in
+      let intensity = convolve ?pool model condition mask in
       Option.iter (fun k -> Tile_cache.store Tile_cache.global k intensity) key;
       intensity
 
-let simulate_tiles ?pool ?engine (model : Model.t) (condition : Condition.t)
+let simulate_tiles ?pool (model : Model.t) (condition : Condition.t)
     ~windows polygons_of =
   Obs.Span.with_ ~name:"litho.simulate_tiles"
     ~attrs:(fun () -> [ ("tiles", string_of_int (List.length windows)) ])
   @@ fun () ->
   Obs.Metrics.add m_tiles (List.length windows);
   let tile window =
-    simulate ?engine model condition ~window
+    simulate model condition ~window
       (polygons_of (G.Rect.inflate window model.Model.halo))
   in
   match pool with
   | None -> List.map tile windows
   | Some p -> Exec.Pool.map_list ~label:"aerial.tiles" p tile windows
 
-let calibrate ?engine (model : Model.t) (tech : Layout.Tech.t) =
+let calibrate (model : Model.t) (tech : Layout.Tech.t) =
   (* Reference pattern: a dense array of vertical lines at drawn gate
      length and contacted pitch.  The printed edge sits where the
      intensity equals the threshold, so the intensity at the drawn edge
-     position is exactly the threshold that pins printed CD = drawn.
-     Calibration runs on the engine that will simulate (resolved like
-     any tile), so each engine is a centred process on the reference
-     pattern and cross-engine CD deltas measure only the
-     pattern-dependent part of the approximation difference. *)
+     position is exactly the threshold that pins printed CD = drawn. *)
   let l = tech.Layout.Tech.gate_length in
   let pitch = tech.Layout.Tech.poly_pitch in
   let nlines = 9 in
@@ -266,7 +161,7 @@ let calibrate ?engine (model : Model.t) (tech : Layout.Tech.t) =
       ~hx:(center + pitch)
       ~hy:((height / 2) + 500)
   in
-  let intensity = simulate ?engine model Condition.nominal ~window lines in
+  let intensity = simulate model Condition.nominal ~window lines in
   let edge_x = float_of_int center +. (float_of_int l /. 2.0) in
   let threshold = Raster.sample intensity edge_x (float_of_int (height / 2)) in
   Model.with_threshold model threshold

@@ -6,59 +6,24 @@
     intensity (1.0 deep inside large features); apply
     {!Model.printed_threshold} to decide printing.
 
-    Two engines perform the convolution.  [Direct] is the per-kernel
-    3-pass box-blur cascade — the bit-identity oracle all goldens are
-    recorded against.  [Fft] computes the mask spectrum once and
-    applies the whole kernel stack as a single frequency-domain
-    multiply with the analytic Gaussian transfer function
-    [Σ wₖ·exp(-2π²σₖ²|f|²)] ({!Fft.convolve_gaussians}); its output
-    agrees with the direct engine within the documented tolerance
-    contract (see DESIGN.md) but is not bit-equal.  [Auto] resolves
-    per tile by pixel count.  The resolved engine is part of the tile
-    cache key, so engines never share cache entries.
-
-    When [pool] is given, the direct engine's per-kernel convolutions
-    run on its domains; the weighted blend is accumulated in kernel
-    order on the calling domain, so the image is bit-identical for any
-    worker count.  The FFT engine is single-transform and uses the
-    pool only across tiles ({!simulate_tiles}).
+    The convolution is a per-kernel 3-pass box-blur cascade, run over
+    the whole requested window in one raster.  When [pool] is given,
+    the per-kernel convolutions run on its domains; the weighted blend
+    is accumulated in kernel order on the calling domain, so the image
+    is bit-identical for any worker count.
 
     When {!Tile_cache.enabled}, every simulation first consults the
     content-addressed {!Tile_cache.global}: the key is the clipped
     mask geometry relative to the raster origin plus the raster
-    geometry, the defocus-adjusted kernel stack, and the resolved
-    engine, so repeated cell patterns hit at any placement and a dose
-    sweep at fixed defocus hits after its first condition (dose scales
-    the threshold, not the intensity).  Hits return a private copy and
+    geometry and the defocus-adjusted kernel stack, so repeated cell
+    patterns hit at any placement and a dose sweep at fixed defocus
+    hits after its first condition (dose scales the threshold, not the
+    intensity).  Hits return a private copy and
     are bit-identical to a fresh simulation by construction, so
     enabling the cache never changes results — only wall time. *)
 
-type engine = Direct | Fft | Auto
-
-val engine_to_string : engine -> string
-
-val engine_of_string : string -> engine option
-
-(** Engine named by the environment ([POTX_ENGINE] unless [var] says
-    otherwise); [default] (direct unless given) when unset or
-    unparsable. *)
-val env_engine : ?var:string -> ?default:engine -> unit -> engine
-
-(** The process-global engine used when {!simulate} gets no explicit
-    [?engine]; initialised from [POTX_ENGINE] (default direct). *)
-val engine : unit -> engine
-
-val set_engine : engine -> unit
-
-(** [resolve_engine e shape] is the concrete engine ([Direct] or
-    [Fft]) that [e] selects for a tile of [shape]'s geometry; [Auto]
-    picks by pixel count with a padded-area guard.  Exposed so tests
-    and benches can predict (and pin) the per-tile choice. *)
-val resolve_engine : engine -> Raster.t -> engine
-
 val simulate :
   ?pool:Exec.Pool.t ->
-  ?engine:engine ->
   Model.t ->
   Condition.t ->
   window:Geometry.Rect.t ->
@@ -74,7 +39,6 @@ val simulate :
     before calling). *)
 val simulate_tiles :
   ?pool:Exec.Pool.t ->
-  ?engine:engine ->
   Model.t ->
   Condition.t ->
   windows:Geometry.Rect.t list ->
@@ -89,7 +53,5 @@ val mask_raster :
 (** [calibrate model tech] sets the resist threshold so that a dense
     line array at drawn gate length prints at exactly the drawn CD
     under the nominal condition — a centred process.  The threshold is
-    read off the simulated intensity at the drawn edge position, using
-    the engine that will simulate (so each engine is centred on the
-    reference pattern). *)
-val calibrate : ?engine:engine -> Model.t -> Layout.Tech.t -> Model.t
+    read off the simulated intensity at the drawn edge position. *)
+val calibrate : Model.t -> Layout.Tech.t -> Model.t

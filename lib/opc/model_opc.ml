@@ -10,8 +10,6 @@ type config = {
   search : float;
   mask_grid : int;
   min_mask_space : int;
-  incremental : bool;
-  sim_tile : int;
 }
 
 let default_config (tech : Layout.Tech.t) =
@@ -25,8 +23,6 @@ let default_config (tech : Layout.Tech.t) =
     search = 120.0;
     mask_grid = 1;
     min_mask_space = 140;
-    incremental = true;
-    sim_tile = 3000;
   }
 
 type stats = {
@@ -50,10 +46,6 @@ let m_epe =
   Obs.Metrics.histogram
     ~edges:[| 0.1; 0.2; 0.5; 1.0; 2.0; 5.0; 10.0; 20.0 |]
     "opc.max_epe_nm"
-
-let m_dirty = Obs.Metrics.counter "opc.dirty_tiles"
-
-let m_clean = Obs.Metrics.counter "opc.clean_tiles"
 
 let correct_untraced (model : Litho.Model.t) config ~targets ~context =
   match targets with
@@ -123,106 +115,30 @@ let correct_untraced (model : Litho.Model.t) config ~targets ~context =
         G.Rect.hull_of_list (List.map G.Polygon.bbox targets)
       in
       let threshold = model.Litho.Model.threshold in
-      (* Dirty-tile incremental re-simulation: the correction window is
-         split into a fixed grid of [sim_tile] tiles, each simulated
-         independently with the model halo (the simulate_tiles halo
-         discipline).  Between passes only a handful of fragments move,
-         so a tile is re-simulated only when a changed mask polygon can
-         reach its raster extent; clean tiles keep their raster, which
-         deterministic recomputation would reproduce bit-for-bit.  With
-         [incremental = false] every tile is recomputed every pass over
-         the *same* grid, so the two modes are byte-identical. *)
-      let tw, th =
-        if config.sim_tile <= 0 then
-          (max 1 (G.Rect.width window), max 1 (G.Rect.height window))
-        else (config.sim_tile, config.sim_tile)
-      in
-      let ntx = max 1 ((G.Rect.width window + tw - 1) / tw) in
-      let nty = max 1 ((G.Rect.height window + th - 1) / th) in
-      let tiles =
-        Array.init (ntx * nty) (fun idx ->
-            let ix = idx mod ntx and iy = idx / ntx in
-            G.Rect.make
-              ~lx:(window.G.Rect.lx + (ix * tw))
-              ~ly:(window.G.Rect.ly + (iy * th))
-              ~hx:(min window.G.Rect.hx (window.G.Rect.lx + ((ix + 1) * tw)))
-              ~hy:(min window.G.Rect.hy (window.G.Rect.ly + ((iy + 1) * th))))
-      in
-      (* Control sites sit on drawn edges inside the target hull, so the
-         clamp only absorbs sites on the window's high boundary. *)
-      let tile_of (c : G.Point.t) =
-        let ix = min (ntx - 1) (max 0 ((c.G.Point.x - window.G.Rect.lx) / tw)) in
-        let iy = min (nty - 1) (max 0 ((c.G.Point.y - window.G.Rect.ly) / th)) in
-        (iy * ntx) + ix
-      in
-      (* A change is visible to a tile iff it overlaps the tile's raster
-         extent: tile + halo, rounded out to whole pixels (the raster
-         rounds its span up, so err outward — an over-approximation
-         costs a recompute, an under-approximation would corrupt). *)
-      let reach =
-        model.Litho.Model.halo
-        + (2 * int_of_float (Float.ceil model.Litho.Model.step)) + 2
-      in
-      let rasters = Array.make (ntx * nty) None in
-      let prev_masks = Array.make (List.length fragmented) None in
+      (* One simulation of the whole correction window per pass: the
+         halo'd raster covers every control site, and a fresh image of
+         the current mask is all the EPE measurement needs. *)
       let measure_pass () =
-        let masks = List.map Fragment.to_mask fragmented in
-        let mask_polys = masks @ context in
-        let moved =
-          List.concat
-            (List.mapi
-               (fun i m ->
-                 match prev_masks.(i) with
-                 | Some old when G.Polygon.equal old m -> []
-                 | Some old ->
-                     prev_masks.(i) <- Some m;
-                     [ G.Rect.hull (G.Polygon.bbox old) (G.Polygon.bbox m) ]
-                 | None ->
-                     prev_masks.(i) <- Some m;
-                     [ G.Polygon.bbox m ])
-               masks)
+        let mask_polys = List.map Fragment.to_mask fragmented @ context in
+        let intensity =
+          Litho.Aerial.simulate model Litho.Condition.nominal ~window mask_polys
         in
-        Array.iteri
-          (fun idx r ->
-            let stale =
-              r = None || (not config.incremental)
-              || List.exists (G.Rect.touches (G.Rect.inflate tiles.(idx) reach)) moved
-            in
-            if stale then begin
-              Obs.Metrics.incr m_dirty;
-              rasters.(idx) <-
-                Some
-                  (Litho.Aerial.simulate model Litho.Condition.nominal
-                     ~window:tiles.(idx) mask_polys)
-            end
-            else Obs.Metrics.incr m_clean)
-          rasters;
-        let intensity_at c =
-          match rasters.(tile_of c) with
-          | Some r -> r
-          | None -> assert false
-        in
-        (* EPE of the printed contour against the *drawn* control site,
-           sampled from the stitched tile set. *)
-        let epes =
-          List.map
-            (fun f ->
-              List.filter_map
-                (fun (frag : Fragment.t) ->
-                  if is_covered frag then None
-                  else
-                    let c = frag.Fragment.control and n = frag.Fragment.normal in
-                    Some
-                      ( frag,
-                        Litho.Metrology.epe (intensity_at c) ~threshold
-                          ~x:(float_of_int c.G.Point.x) ~y:(float_of_int c.G.Point.y)
-                          ~nx:(float_of_int n.G.Point.x) ~ny:(float_of_int n.G.Point.y)
-                          ~search:config.search ))
-                f.Fragment.fragments)
-            fragmented
-          |> List.concat
-        in
-        epes
+        (* EPE of the printed contour against the *drawn* control site. *)
+        List.concat_map
+          (fun f ->
+            List.filter_map
+              (fun (frag : Fragment.t) ->
+                if is_covered frag then None
+                else
+                  let c = frag.Fragment.control and n = frag.Fragment.normal in
+                  Some
+                    ( frag,
+                      Litho.Metrology.epe intensity ~threshold
+                        ~x:(float_of_int c.G.Point.x) ~y:(float_of_int c.G.Point.y)
+                        ~nx:(float_of_int n.G.Point.x) ~ny:(float_of_int n.G.Point.y)
+                        ~search:config.search ))
+              f.Fragment.fragments)
+          fragmented
       in
       let all_fragments = List.concat_map (fun f -> f.Fragment.fragments) fragmented in
       let snapshot () = List.map (fun (f : Fragment.t) -> f.Fragment.displacement) all_fragments in
@@ -239,18 +155,26 @@ let correct_untraced (model : Litho.Model.t) config ~targets ~context =
          two displacement states; keep the best-RMS state seen. *)
       let best = ref (snapshot ()) in
       let best_rms = ref infinity in
+      (* The EPEs measured at [!best]: re-simulating that state would
+         reproduce them bit for bit, so they are kept, not re-measured. *)
+      let best_epes = ref [] in
       let final = ref [] in
+      let measure () =
+        let epes = measure_pass () in
+        final := epes;
+        let rms = rms_of epes in
+        if rms < !best_rms then begin
+          best_rms := rms;
+          best := snapshot ();
+          best_epes := epes
+        end;
+        epes
+      in
       let iterations_run = ref 0 in
       (try
          for it = 1 to config.iterations do
            iterations_run := it;
-           let epes = measure_pass () in
-           final := epes;
-           let rms = rms_of epes in
-           if rms < !best_rms then begin
-             best_rms := rms;
-             best := snapshot ()
-           end;
+           let epes = measure () in
            let worst =
              List.fold_left
                (fun acc (_, e) -> match e with Some e -> Float.max acc (Float.abs e) | None -> acc)
@@ -289,18 +213,14 @@ let correct_untraced (model : Litho.Model.t) config ~targets ~context =
              epes
          done;
          (* Measure the residual after the last move. *)
-         let epes = measure_pass () in
-         final := epes;
-         let rms = rms_of epes in
-         if rms < !best_rms then begin
-           best_rms := rms;
-           best := snapshot ()
-         end
+         ignore (measure ())
        with Exit ->
-         best := snapshot ());
+         (* Converged: ship the state just measured. *)
+         best := snapshot ();
+         best_epes := !final);
       (* Ship the best state seen, and report its residual. *)
       restore !best;
-      let epes = if !best_rms = infinity then !final else measure_pass () in
+      let epes = if !best_rms = infinity then !final else !best_epes in
       let resolved = List.filter_map (fun (_, e) -> e) epes in
       let unresolved = List.length epes - List.length resolved in
       let max_epe = List.fold_left (fun acc e -> Float.max acc (Float.abs e)) 0.0 resolved in

@@ -3,7 +3,9 @@
     Each iteration simulates the current mask, measures the signed EPE
     at every fragment's control site against the drawn target, and
     moves the fragment against the error with a damping factor.  The
-    classic simulate-then-move loop of production OPC engines. *)
+    classic simulate-then-move loop of production OPC engines.  Every
+    pass simulates the whole correction window (the hull of the
+    targets, plus the model halo) as one aerial image. *)
 
 type config = {
   iterations : int;
@@ -18,18 +20,6 @@ type config = {
   min_mask_space : int;  (** mask-rule constraint: outward moves stop
                              when the gap to a neighbour shape would
                              drop below this, nm *)
-  incremental : bool;
-      (** dirty-tile incremental re-simulation: between EPE passes,
-          re-simulate only the tiles whose halo'd raster extent a moved
-          mask polygon can reach.  Clean tiles keep rasters that a
-          recompute would reproduce bit-for-bit, so results are
-          byte-identical with this off (default on) *)
-  sim_tile : int;
-      (** simulation tile edge for the EPE measurement grid, nm; [<= 0]
-          simulates the whole correction window as one tile.  The tile
-          grid (not this flag) defines the sampled intensity, so
-          changing it perturbs EPE at the sub-0.1 nm level of the tile
-          halo truncation *)
 }
 
 val default_config : Layout.Tech.t -> config

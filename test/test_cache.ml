@@ -1,8 +1,7 @@
 (* The litho tile cache's one hard promise: a hit is bit-identical to
    the simulation it replaces.  These tests exercise that promise at
    every consumer (Aerial.simulate_tiles, Pvband.compute, Flow.run),
-   the byte-budget eviction, the incremental OPC dirty-tile path, and
-   the observability counters. *)
+   the byte-budget eviction, and the observability counters. *)
 
 module G = Geometry
 
@@ -151,52 +150,6 @@ let test_hit_is_a_copy () =
       Alcotest.(check (float 0.0))
         "mutating a hit does not corrupt the cache" 0.0 (Litho.Raster.get r 0 0)
 
-(* ---- incremental OPC: dirty-tile on/off identity ---- *)
-
-let opc_config ~incremental =
-  {
-    (Opc.Model_opc.default_config tech) with
-    Opc.Model_opc.iterations = 3;
-    incremental;
-    (* Small enough that a 3-line cluster spans several tiles, so the
-       dirty/clean classification actually has work to do. *)
-    sim_tile = 700;
-  }
-
-let arb_cluster =
-  (* 1-3 vertical lines at random pitches/heights: enough variety to
-     move different fragment subsets on different iterations. *)
-  QCheck.make
-    ~print:(fun ps ->
-      String.concat ";" (List.map (Format.asprintf "%a" G.Polygon.pp) ps))
-    QCheck.Gen.(
-      let* n = int_range 1 3 in
-      let* xs = list_repeat n (int_range 0 8) in
-      let* hs = list_repeat n (int_range 4 14) in
-      return
-        (List.mapi
-           (fun i (x, h) ->
-             G.Polygon.of_rect
-               (G.Rect.make ~lx:(i * 300 + x * 10) ~ly:0
-                  ~hx:((i * 300) + (x * 10) + 90)
-                  ~hy:(h * 100)))
-           (List.combine xs hs)))
-
-let prop_incremental_identical =
-  QCheck.Test.make ~name:"incremental OPC = full re-simulation" ~count:8 arb_cluster
-    (fun targets ->
-      (* Cache off: the property must hold from the dirty-tile logic
-         alone, not from cache hits hiding a stale raster. *)
-      with_cache false @@ fun () ->
-      let m = Lazy.force model in
-      let on, s_on =
-        Opc.Model_opc.correct m (opc_config ~incremental:true) ~targets ~context:[]
-      in
-      let off, s_off =
-        Opc.Model_opc.correct m (opc_config ~incremental:false) ~targets ~context:[]
-      in
-      List.for_all2 G.Polygon.equal on off && s_on = s_off)
-
 (* ---- metrics ---- *)
 
 let counter_value name =
@@ -234,37 +187,6 @@ let test_metrics_monotone_and_hit () =
   checkb "hit equals translated simulation" true
     (Litho.Raster.unsafe_data a = Litho.Raster.unsafe_data b)
 
-(* ---- engine key separation ---- *)
-
-let test_engine_keys_disjoint () =
-  let m = Lazy.force model in
-  let chip = Lazy.force small_chip in
-  let window = G.Rect.make ~lx:0 ~ly:0 ~hx:1000 ~hy:1000 in
-  let shapes =
-    Layout.Chip.shapes_in chip Layout.Layer.Poly
-      (G.Rect.inflate window m.Litho.Model.halo)
-  in
-  with_cache true @@ fun () ->
-  let sim engine = Litho.Aerial.simulate ~engine m Litho.Condition.nominal ~window shapes in
-  let m0 = counter_value "litho.cache.misses" in
-  let d = sim Litho.Aerial.Direct in
-  let m1 = counter_value "litho.cache.misses" in
-  checkb "direct cold miss" true (m1 > m0);
-  (* A direct entry is warm; the FFT engine must still miss — the
-     engines agree only within the tolerance contract, so one cache
-     key must never serve both. *)
-  let f = sim Litho.Aerial.Fft in
-  let m2 = counter_value "litho.cache.misses" in
-  checkb "fft misses past a warm direct entry" true (m2 > m1);
-  let h0 = counter_value "litho.cache.hits" in
-  let f' = sim Litho.Aerial.Fft in
-  let h1 = counter_value "litho.cache.hits" in
-  checkb "fft repeat hits its own entry" true (h1 > h0);
-  checkb "fft hit returns the fft image" true
-    (Litho.Raster.unsafe_data f = Litho.Raster.unsafe_data f');
-  checkb "engines store different images" true
-    (Litho.Raster.unsafe_data d <> Litho.Raster.unsafe_data f)
-
 let () =
   Alcotest.run "tile_cache"
     [
@@ -280,10 +202,6 @@ let () =
           Alcotest.test_case "oversized" `Quick test_oversized_entry_not_stored;
           Alcotest.test_case "hit is a copy" `Quick test_hit_is_a_copy;
         ] );
-      ( "incremental",
-        [ QCheck_alcotest.to_alcotest prop_incremental_identical ] );
       ( "metrics",
         [ Alcotest.test_case "monotone + hit" `Slow test_metrics_monotone_and_hit ] );
-      ( "engines",
-        [ Alcotest.test_case "keys disjoint" `Slow test_engine_keys_disjoint ] );
     ]

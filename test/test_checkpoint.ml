@@ -122,30 +122,47 @@ let test_tampered_payload_rejected () =
   checki "untouched opc still loads" 1 (counter "flow.checkpoint.loaded" - loaded0);
   checkb "recomputed output = clean run" true (render resumed = render clean)
 
+(* A checkpoint of the base config, resumed in the same directory under
+   altered inputs: every stage key must change, so the resumed run
+   recomputes both stages and matches a clean run of the altered
+   config. *)
 let test_stale_inputs_rejected () =
-  let dir = temp_dir "stale" in
-  let ck = Timing_opc.Checkpoint.create ~dir ~resume:false in
-  ignore (run_with (Some ck));
-  (* Same directory, different silicon condition: both stage keys
-     change (the mask key does not depend on the condition, but the
-     seed below perturbs placement, hence the chip hash too). *)
-  let altered resume =
-    Timing_opc.Flow.run
-      { (base_config ()) with
-        Timing_opc.Flow.seed = 43;
-        condition = Litho.Condition.make ~dose:1.03 ~defocus:60.0;
-        checkpoint =
-          (if resume then Some { ck with Timing_opc.Checkpoint.resume = true }
-           else None) }
-      (Lazy.force netlist)
+  let check_stale what alter =
+    let ck = Timing_opc.Checkpoint.create ~dir:(temp_dir "stale") ~resume:false in
+    ignore (run_with (Some ck));
+    let altered resume =
+      Timing_opc.Flow.run
+        { (alter (base_config ())) with
+          Timing_opc.Flow.checkpoint =
+            (if resume then Some { ck with Timing_opc.Checkpoint.resume = true }
+             else None) }
+        (Lazy.force netlist)
+    in
+    let clean = altered false in
+    let rejected0 = counter "flow.checkpoint.rejected" in
+    let loaded0 = counter "flow.checkpoint.loaded" in
+    let resumed = altered true in
+    checki (what ^ ": no stale stage loads") 0
+      (counter "flow.checkpoint.loaded" - loaded0);
+    checki (what ^ ": both stale stages rejected") 2
+      (counter "flow.checkpoint.rejected" - rejected0);
+    checkb (what ^ ": recomputed output matches the new inputs") true
+      (render resumed = render clean)
   in
-  let clean = altered false in
-  let rejected0 = counter "flow.checkpoint.rejected" in
-  let loaded0 = counter "flow.checkpoint.loaded" in
-  let resumed = altered true in
-  checki "no stale stage loads" 0 (counter "flow.checkpoint.loaded" - loaded0);
-  checki "both stale stages rejected" 2 (counter "flow.checkpoint.rejected" - rejected0);
-  checkb "recomputed output matches the new inputs" true (render resumed = render clean)
+  (* A different silicon condition changes the CD key (the mask key
+     does not depend on the condition, but the seed perturbs placement,
+     hence the chip hash too). *)
+  check_stale "seed and condition" (fun c ->
+      { c with
+        Timing_opc.Flow.seed = 43;
+        condition = Litho.Condition.make ~dose:1.03 ~defocus:60.0 });
+  (* Same chip and condition, another OPC config: the mask key must
+     carry the correction settings, so a mask produced under one OPC
+     config never resumes a run configured for another. *)
+  check_stale "OPC iterations" (fun c ->
+      { c with
+        Timing_opc.Flow.opc_config =
+          { c.Timing_opc.Flow.opc_config with Opc.Model_opc.iterations = 3 } })
 
 let () =
   Alcotest.run "checkpoint"
