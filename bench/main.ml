@@ -1,13 +1,13 @@
 (* Experiment harness: regenerates every table (T1-T4) and figure
-   (F1-F6) of the reproduced evaluation, plus engine micro-benchmarks.
+   (F1-F6) of the reproduced evaluation.
 
      dune exec bench/main.exe                 # all experiments
      dune exec bench/main.exe -- --quick      # smaller workloads
      dune exec bench/main.exe -- t4 f1        # a subset
-     dune exec bench/main.exe -- --perf       # bechamel engine benches
 
-   See DESIGN.md for the experiment index and EXPERIMENTS.md for
-   paper-vs-measured records. *)
+   Unknown flags and experiment names exit 2.  See DESIGN.md for the
+   experiment index and EXPERIMENTS.md for paper-vs-measured records;
+   performance is measured by perfbench/, not here. *)
 
 let experiments =
   [ ("t1", Exp_t1.run); ("t2", Exp_t2.run); ("t3", Exp_t3.run); ("t4", Exp_t4.run);
@@ -16,11 +16,19 @@ let experiments =
     ("hs", Exp_hs.run); ("rt", Exp_rt.run); ("seq", Exp_seq.run);
     ("ab", Exp_ab.run) ]
 
+let flags = [ "--quick" ]
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let flags, names = List.partition (fun a -> String.length a > 0 && a.[0] = '-') args in
-  let want_perf = List.mem "--perf" flags in
-  if List.mem "--quick" flags then Common.quick := true;
+  let given, names = List.partition (fun a -> String.length a > 0 && a.[0] = '-') args in
+  List.iter
+    (fun f ->
+      if not (List.mem f flags) then begin
+        Format.eprintf "unknown flag %s (have: %s)@." f (String.concat " " flags);
+        exit 2
+      end)
+    given;
+  if List.mem "--quick" given then Common.quick := true;
   let selected =
     match names with
     | [] -> List.map fst experiments
@@ -38,7 +46,5 @@ let () =
   Format.printf "post-OPC timing reproduction bench (seed %d%s)@." Common.seed
     (if !Common.quick then ", quick mode" else "");
   let t0 = Unix.gettimeofday () in
-  if (not want_perf) || names <> [] then
-    List.iter (fun name -> List.assoc name experiments ()) selected;
-  if want_perf then Perf.run ();
+  List.iter (fun name -> List.assoc name experiments ()) selected;
   Format.printf "@.total wall time: %.1fs@." (Unix.gettimeofday () -. t0)

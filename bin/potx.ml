@@ -805,233 +805,6 @@ let obs_report_cmd =
           occupancy, cache hit rate, per-stage wall/alloc, span self-time")
     Term.(const obs_report $ metrics $ trace)
 
-(* ---- perfdiff ---- *)
-
-(* The perf-regression gate: diff two BENCH_perf.json files (the
-   committed baseline vs a fresh bench run — see bin/perfdiff.sh).
-   Workloads are matched on (workload, domains, tasks); wall times may
-   regress by the tolerance before anything is reported, correctness
-   (identical:false) is always fatal, and a host_cores mismatch
-   downgrades timing regressions to warnings because the wall clocks
-   are not comparable. *)
-
-type perf_exp = {
-  pworkload : string;
-  pdomains : int;
-  ptasks : int;
-  pwall_s : float;
-  pwall_cached_s : float option;
-  pidentical : bool option;
-  pcache_hits : float option;
-  pcache_misses : float option;
-  phost_cores : float option;
-}
-
-let read_whole_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
-let load_perf path =
-  match Obs.Json.parse (read_whole_file path) with
-  | Error e -> failwith (Printf.sprintf "%s: %s" path e)
-  | Ok j -> (
-      let num name o = Option.bind (Obs.Json.member name o) Obs.Json.to_float in
-      let file_cores = num "host_cores" j in
-      match Obs.Json.member "experiments" j with
-      | Some (Obs.Json.Arr es) ->
-          ( file_cores,
-            List.filter_map
-              (fun e ->
-                match
-                  ( Option.bind (Obs.Json.member "workload" e) Obs.Json.to_str,
-                    num "domains" e, num "tasks" e, num "wall_s" e )
-                with
-                | Some w, Some d, Some t, Some wall ->
-                    Some
-                      {
-                        pworkload = w;
-                        pdomains = int_of_float d;
-                        ptasks = int_of_float t;
-                        pwall_s = wall;
-                        pwall_cached_s = num "wall_cached_s" e;
-                        pidentical =
-                          (match Obs.Json.member "identical" e with
-                          | Some (Obs.Json.Bool b) -> Some b
-                          | _ -> None);
-                        pcache_hits = num "cache_hits" e;
-                        pcache_misses = num "cache_misses" e;
-                        phost_cores =
-                          (match num "host_cores" e with
-                          | Some v -> Some v
-                          | None -> file_cores);
-                      }
-                | _ -> None)
-              es )
-      | _ -> failwith (path ^ ": no experiments array"))
-
-(* Baselines under this are pure noise on any host (warm serve queries
-   sit in the tens of microseconds); so is any delta under 10 ms. *)
-let perfdiff_min_base = 0.02
-
-let perfdiff_min_delta = 0.01
-
-let perfdiff baseline candidate tolerance tolerance_for scales gate =
-  let parse_kv what s =
-    match String.index_opt s '=' with
-    | Some i -> (
-        let k = String.sub s 0 i
-        and v = String.sub s (i + 1) (String.length s - i - 1) in
-        match float_of_string_opt v with
-        | Some f -> (k, f)
-        | None -> failwith (Printf.sprintf "bad %s %S (want WORKLOAD=FLOAT)" what s))
-    | None -> failwith (Printf.sprintf "bad %s %S (want WORKLOAD=FLOAT)" what s)
-  in
-  let scales = List.map (parse_kv "--scale") scales in
-  let tol_for = List.map (parse_kv "--tolerance-for") tolerance_for in
-  let base_cores, base = load_perf baseline in
-  let cand_cores, cand = load_perf candidate in
-  let cores_mismatch =
-    match (base_cores, cand_cores) with
-    | Some b, Some c -> b <> c
-    | _ -> false
-  in
-  if cores_mismatch then
-    Format.printf
-      "perfdiff: host_cores differ (baseline %.0f, candidate %.0f): timing \
-       regressions are warnings only@."
-      (Option.get base_cores) (Option.get cand_cores);
-  let key e = (e.pworkload, e.pdomains, e.ptasks) in
-  let regressions = ref 0
-  and improvements = ref 0
-  and compared = ref 0
-  and broken = ref [] in
-  List.iter
-    (fun c ->
-      (match c.pidentical with
-      | Some false -> broken := c.pworkload :: !broken
-      | _ -> ());
-      match List.find_opt (fun b -> key b = key c) base with
-      | None ->
-          Format.printf "perfdiff: %s (domains=%d tasks=%d): new workload, no baseline@."
-            c.pworkload c.pdomains c.ptasks
-      | Some b ->
-          let scale = Option.value ~default:1.0 (List.assoc_opt c.pworkload scales) in
-          let tol =
-            Option.value ~default:tolerance (List.assoc_opt c.pworkload tol_for)
-          in
-          let explain () =
-            match (b.pcache_hits, b.pcache_misses, c.pcache_hits, c.pcache_misses) with
-            | Some bh, Some bm, Some ch, Some cm when bh +. bm > 0.0 && ch +. cm > 0.0 ->
-                Format.printf
-                  "perfdiff:   cache: hits %.0f->%.0f misses %.0f->%.0f (hit \
-                   rate %.1f%% -> %.1f%%)@."
-                  bh ch bm cm
-                  (bh /. (bh +. bm) *. 100.0)
-                  (ch /. (ch +. cm) *. 100.0)
-            | _ -> ()
-          in
-          let check what bw cw =
-            let cw = cw *. scale in
-            if bw < perfdiff_min_base then ()
-            else begin
-              incr compared;
-              let delta = cw -. bw in
-              if delta > (bw *. tol) && delta > perfdiff_min_delta then begin
-                incr regressions;
-                Format.printf
-                  "perfdiff: %s (domains=%d tasks=%d): %s %.3fs -> %.3fs \
-                   (%+.1f%%, tolerance %.0f%%)%s@."
-                  c.pworkload c.pdomains c.ptasks what bw cw
-                  (delta /. bw *. 100.0) (tol *. 100.0)
-                  (if cores_mismatch then " WARN" else " REGRESSION");
-                explain ()
-              end
-              else if -.delta > (bw *. tol) && -.delta > perfdiff_min_delta then
-                incr improvements
-            end
-          in
-          check "wall" b.pwall_s c.pwall_s;
-          (match (b.pwall_cached_s, c.pwall_cached_s) with
-          | Some bw, Some cw -> check "cached wall" bw cw
-          | _ -> ()))
-    cand;
-  List.iter
-    (fun b ->
-      if not (List.exists (fun c -> key c = key b) cand) then
-        Format.printf
-          "perfdiff: %s (domains=%d tasks=%d): in baseline but not candidate@."
-          b.pworkload b.pdomains b.ptasks)
-    base;
-  (match List.sort_uniq String.compare !broken with
-  | [] -> ()
-  | ws ->
-      Format.eprintf "perfdiff: FATAL: identical:false in candidate for: %s@."
-        (String.concat ", " ws);
-      exit 1);
-  Format.printf "perfdiff: %d comparisons, %d regressions, %d improvements%s@."
-    !compared !regressions !improvements
-    (if !regressions = 0 then " -- OK"
-     else if gate && not cores_mismatch then " -- GATE FAILED"
-     else " (warnings only)");
-  if !regressions > 0 && gate && not cores_mismatch then exit 1
-
-let perfdiff_cmd =
-  let baseline =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "baseline" ] ~doc:"Committed BENCH_perf.json to diff against."
-          ~docv:"FILE")
-  in
-  let candidate =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "candidate" ] ~doc:"Freshly measured BENCH_perf.json." ~docv:"FILE")
-  in
-  let tolerance =
-    Arg.(
-      value & opt float 0.5
-      & info [ "tolerance" ]
-          ~doc:
-            "Allowed fractional wall-time growth per workload before a \
-             regression is reported (0.5 = 50%).")
-  in
-  let tolerance_for =
-    Arg.(
-      value & opt_all string []
-      & info [ "tolerance-for" ]
-          ~doc:"Per-workload tolerance override, e.g. $(i,opc_iterate=1.0) (repeatable)."
-          ~docv:"WORKLOAD=T")
-  in
-  let scale =
-    Arg.(
-      value & opt_all string []
-      & info [ "scale" ]
-          ~doc:
-            "Multiply the candidate's wall times for one workload by a \
-             factor before comparing, e.g. $(i,opc_iterate=2.0) — injects a \
-             synthetic slowdown so the gate itself can be tested \
-             (repeatable)." ~docv:"WORKLOAD=FACTOR")
-  in
-  let gate =
-    Arg.(
-      value & flag
-      & info [ "gate" ]
-          ~doc:
-            "Exit nonzero on any timing regression (identical:false is fatal \
-             even without this flag).  bin/perfdiff.sh passes this under \
-             $(b,POTX_PERF_GATE=1).")
-  in
-  Cmd.v
-    (Cmd.info "perfdiff"
-       ~doc:"diff two BENCH_perf.json files and gate on perf regressions")
-    Term.(
-      const perfdiff $ baseline $ candidate $ tolerance $ tolerance_for $ scale
-      $ gate)
-
 let () =
   let doc = "post-OPC critical-dimension extraction for advanced timing analysis" in
   let info = Cmd.info "potx" ~version:"1.0.0" ~doc in
@@ -1040,4 +813,4 @@ let () =
        (Cmd.group info
           [ run_cmd; serve_cmd; cells_cmd; litho_cmd; drc_cmd;
             liberty_cmd; export_cmd; cds_cmd; obs_check_cmd;
-            obs_report_cmd; perfdiff_cmd ]))
+            obs_report_cmd ]))

@@ -5,19 +5,17 @@
 # the script exits nonzero if any case failed.
 #
 #   usage: smoke.sh path/to/potx.exe path/to/bench_main.exe \
-#            [serve_script.jsonl serve_golden.txt [perf_baseline.json]]
+#            [serve_script.jsonl serve_golden.txt]
 #
 # The optional pair names the canonical serve request script and its
 # golden response capture (test/serve_script_c17.jsonl and
 # test/golden/serve_script_c17.txt); without them the serve cases are
-# skipped.  The optional fifth argument names the committed
-# BENCH_perf.json; without it the perfdiff-gate case is skipped.
+# skipped.
 
-POTX=${1:?usage: smoke.sh POTX BENCH_MAIN [SERVE_SCRIPT SERVE_GOLDEN [PERF_BASELINE]]}
-BENCH=${2:?usage: smoke.sh POTX BENCH_MAIN [SERVE_SCRIPT SERVE_GOLDEN [PERF_BASELINE]]}
+POTX=${1:?usage: smoke.sh POTX BENCH_MAIN [SERVE_SCRIPT SERVE_GOLDEN]}
+BENCH=${2:?usage: smoke.sh POTX BENCH_MAIN [SERVE_SCRIPT SERVE_GOLDEN]}
 SERVE_SCRIPT=${3:-}
 SERVE_GOLDEN=${4:-}
-PERF_BASELINE=${5:-}
 
 # Under dune, %{exe:...} can expand to a bare file name; qualify it so
 # the shell executes it by path instead of searching $PATH.
@@ -57,6 +55,15 @@ case_baseline() {
 # regressions (hangs, non-determinism) that unit tests can miss.
 case_multicore_bench() {
   POTX_DOMAINS=2 "$BENCH" --quick t3 > /dev/null
+}
+
+# An unknown bench flag (here the retired --perf) must exit 2 before
+# any experiment starts, not fall through to the full run.
+case_bench_flags() {
+  "$BENCH" --perf > "$work/bench_flags.out" 2> "$work/bench_flags.err"
+  test $? -eq 2 &&
+    ! test -s "$work/bench_flags.out" &&
+    grep -q 'unknown flag --perf' "$work/bench_flags.err"
 }
 
 case_obs() {
@@ -185,19 +192,9 @@ case_ssta() {
     tail -n +2 "$work/ssta_d4.out" | cmp "$work/ssta.body" -
 }
 
-# The perf-regression gate itself: a self-diff of the committed
-# baseline passes gated, and a synthetic 2x slowdown injected with
-# --scale must trip it.
-case_perfdiff_gate() {
-  "$POTX" perfdiff --baseline "$PERF_BASELINE" \
-    --candidate "$PERF_BASELINE" --gate &&
-    ! "$POTX" perfdiff --baseline "$PERF_BASELINE" \
-      --candidate "$PERF_BASELINE" --scale opc_iterate=2.0 --gate \
-      > /dev/null 2>&1
-}
-
 run_case baseline case_baseline
 run_case multicore-bench case_multicore_bench
+run_case bench-flags case_bench_flags
 run_case obs case_obs
 run_case cache case_cache
 run_case fault-retry case_fault_retry
@@ -210,11 +207,6 @@ if [ -n "$SERVE_SCRIPT" ] && [ -n "$SERVE_GOLDEN" ]; then
   run_case serve-profile case_serve_profile
 else
   echo "== serve == (skipped: pass SERVE_SCRIPT and SERVE_GOLDEN to enable)"
-fi
-if [ -n "$PERF_BASELINE" ]; then
-  run_case perfdiff-gate case_perfdiff_gate
-else
-  echo "== perfdiff-gate == (skipped: pass PERF_BASELINE to enable)"
 fi
 
 if [ -n "$failed" ]; then

@@ -126,10 +126,3 @@ let in_region ~region (g : Layout.Chip.gate_ref) =
   G.Rect.touches region g.Layout.Chip.gate
 
 let gates_in ~region gates = List.filter (in_region ~region) gates
-
-let extract_conditions ?pool ?retry model conditions ~mask ~gates ?(slices = 7)
-    ?(tile = 6000) ?(search = 220.0) () =
-  List.concat_map
-    (fun condition ->
-      extract ?pool ?retry model condition ~mask ~gates ~slices ~tile ~search ())
-    conditions

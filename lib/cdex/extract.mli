@@ -58,17 +58,3 @@ val in_region : region:Geometry.Rect.t -> Layout.Chip.gate_ref -> bool
     is the region-scoped restriction of extraction over [gates]. *)
 val gates_in :
   region:Geometry.Rect.t -> Layout.Chip.gate_ref list -> Layout.Chip.gate_ref list
-
-(** Run [extract] for several conditions (sharing the tiling). *)
-val extract_conditions :
-  ?pool:Exec.Pool.t ->
-  ?retry:Fault.retry ->
-  Litho.Model.t ->
-  Litho.Condition.t list ->
-  mask:mask_source ->
-  gates:Layout.Chip.gate_ref list ->
-  ?slices:int ->
-  ?tile:int ->
-  ?search:float ->
-  unit ->
-  Gate_cd.t list

@@ -35,8 +35,11 @@ type config = {
       (** content-addressed litho tile cache ([Litho.Tile_cache]):
           repeated cell patterns and dose-sweep conditions reuse stored
           aerial images.  Hits are bit-identical to fresh simulations,
-          so this changes wall time only.  [run]/[run_selective] apply
-          it process-wide for the duration of the run.  Default follows
+          so this changes wall time only.  [run], [run_selective],
+          [extract_at] and [reopc_chip] set it process-wide
+          ({!Litho.Tile_cache.set_enabled}) on entry and never restore
+          it, so it stays in force for every later simulation in the
+          process until an entry point sets it again.  Default follows
           the [POTX_CACHE] environment variable (unset = on) *)
   retry : Fault.retry;
       (** bounded-backoff supervision applied to every flow stage, to

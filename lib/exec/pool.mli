@@ -130,7 +130,3 @@ val pp_report : Format.formatter -> t -> unit
     unparsable values give [default] (default 1).  Values are clamped
     to at least 1. *)
 val env_domains : ?var:string -> ?default:int -> unit -> int
-
-(** [Domain.recommended_domain_count] capped at [cap] (default 4) —
-    the conventional worker count for benches. *)
-val recommended : ?cap:int -> unit -> int

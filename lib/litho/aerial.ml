@@ -4,8 +4,6 @@ let m_simulations = Obs.Metrics.counter "litho.simulations"
 
 let () = Fault.declare "litho.simulate"
 
-let m_tiles = Obs.Metrics.counter "litho.tiles"
-
 (* ---- content-addressed simulation keys ---------------------------
 
    A simulated tile is a pure function of (mask content inside the
@@ -73,28 +71,21 @@ let mask_raster (model : Model.t) ~window polygons =
   paint_mask raster (clipped_rects raster polygons);
   raster
 
-(* One box-blur cascade per kernel, blended in kernel order on the
-   calling domain so the accumulated image is bit-identical for any
-   worker count.  Without a pool each kernel is blended as soon as it
-   is blurred, so one blurred copy is live at a time, not one per
-   kernel. *)
-let convolve ?pool (model : Model.t) (condition : Condition.t) mask =
+(* One box-blur cascade per kernel, each blended into the image as soon
+   as it is blurred, so one blurred copy is live at a time, not one per
+   kernel, and the blend order is always kernel order. *)
+let convolve (model : Model.t) (condition : Condition.t) mask =
   let intensity = Raster.like mask in
-  let blur (k : Model.kernel) =
-    let sigma = Model.effective_sigma model k ~defocus:condition.Condition.defocus in
-    let blurred = Raster.copy mask in
-    Blur.gaussian blurred ~sigma_px:(sigma /. model.Model.step);
-    blurred
-  in
-  let blend (k : Model.kernel) b = Raster.blend ~dst:intensity ~src:b ~w:k.Model.weight in
-  (match pool with
-  | None -> List.iter (fun k -> blend k (blur k)) model.Model.kernels
-  | Some p ->
-      List.iter2 blend model.Model.kernels
-        (Exec.Pool.map_list ~label:"aerial.kernels" p blur model.Model.kernels));
+  List.iter
+    (fun (k : Model.kernel) ->
+      let sigma = Model.effective_sigma model k ~defocus:condition.Condition.defocus in
+      let blurred = Raster.copy mask in
+      Blur.gaussian blurred ~sigma_px:(sigma /. model.Model.step);
+      Raster.blend ~dst:intensity ~src:blurred ~w:k.Model.weight)
+    model.Model.kernels;
   intensity
 
-let simulate ?pool (model : Model.t) (condition : Condition.t) ~window
+let simulate (model : Model.t) (condition : Condition.t) ~window
     polygons =
   Obs.Span.with_ ~name:"litho.simulate"
     ~attrs:(fun () -> [ ("polygons", string_of_int (List.length polygons)) ])
@@ -121,23 +112,9 @@ let simulate ?pool (model : Model.t) (condition : Condition.t) ~window
   | None ->
       let mask = Raster.like shape in
       paint_mask mask rects;
-      let intensity = convolve ?pool model condition mask in
+      let intensity = convolve model condition mask in
       Option.iter (fun k -> Tile_cache.store Tile_cache.global k intensity) key;
       intensity
-
-let simulate_tiles ?pool (model : Model.t) (condition : Condition.t)
-    ~windows polygons_of =
-  Obs.Span.with_ ~name:"litho.simulate_tiles"
-    ~attrs:(fun () -> [ ("tiles", string_of_int (List.length windows)) ])
-  @@ fun () ->
-  Obs.Metrics.add m_tiles (List.length windows);
-  let tile window =
-    simulate model condition ~window
-      (polygons_of (G.Rect.inflate window model.Model.halo))
-  in
-  match pool with
-  | None -> List.map tile windows
-  | Some p -> Exec.Pool.map_list ~label:"aerial.tiles" p tile windows
 
 let calibrate (model : Model.t) (tech : Layout.Tech.t) =
   (* Reference pattern: a dense array of vertical lines at drawn gate

@@ -7,10 +7,11 @@
     {!Model.printed_threshold} to decide printing.
 
     The convolution is a per-kernel 3-pass box-blur cascade, run over
-    the whole requested window in one raster.  When [pool] is given,
-    the per-kernel convolutions run on its domains; the weighted blend
-    is accumulated in kernel order on the calling domain, so the image
-    is bit-identical for any worker count.
+    the whole requested window in one raster on the calling domain;
+    each kernel's blur is blended into the image in kernel order as
+    soon as it is computed.  Parallelism lives above this call: chip
+    OPC and CD extraction run whole tiles on their pool, each tile
+    making its own sequential [simulate] calls.
 
     When {!Tile_cache.enabled}, every simulation first consults the
     content-addressed {!Tile_cache.global}: the key is the clipped
@@ -23,27 +24,11 @@
     enabling the cache never changes results — only wall time. *)
 
 val simulate :
-  ?pool:Exec.Pool.t ->
   Model.t ->
   Condition.t ->
   window:Geometry.Rect.t ->
   Geometry.Polygon.t list ->
   Raster.t
-
-(** [simulate_tiles model condition ~windows polygons_of] simulates
-    one aerial image per window, fetching each tile's mask shapes with
-    [polygons_of (inflate window halo)].  Tiles are independent and
-    run in parallel on [pool] when given; the result list preserves
-    window order.  [polygons_of] is called from worker domains, so it
-    must be safe for concurrent reads (warm any lazily-built index
-    before calling). *)
-val simulate_tiles :
-  ?pool:Exec.Pool.t ->
-  Model.t ->
-  Condition.t ->
-  windows:Geometry.Rect.t list ->
-  (Geometry.Rect.t -> Geometry.Polygon.t list) ->
-  Raster.t list
 
 (** The rasterised (clamped, anti-aliased) mask without convolution;
     exposed for tests and debugging. *)

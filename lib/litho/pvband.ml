@@ -7,19 +7,13 @@ type t = {
   conditions : int;
 }
 
-let compute ?pool (model : Model.t) conditions ~window polygons =
+let compute (model : Model.t) conditions ~window polygons =
   if conditions = [] then invalid_arg "Pvband.compute: no conditions";
-  (* One independent simulation per condition; the band scan below
-     walks the rasters in condition order, so the result is identical
-     for any worker count. *)
-  let sim c =
-    (Aerial.simulate model c ~window polygons,
-     Model.printed_threshold model c)
-  in
   let rasters =
-    match pool with
-    | None -> List.map sim conditions
-    | Some p -> Exec.Pool.map_list ~label:"pvband.conditions" p sim conditions
+    List.map
+      (fun c ->
+        (Aerial.simulate model c ~window polygons, Model.printed_threshold model c))
+      conditions
   in
   let first, _ = List.hd rasters in
   let step = Raster.step first in

@@ -10,13 +10,12 @@ type t = {
 }
 
 (** [compute model conditions ~window polygons] simulates each
-    condition over the same raster grid and accumulates the band.
-    With [pool], the per-condition simulations run in parallel; the
-    band accumulation is sequential in condition order, so the result
-    is bit-identical for any worker count.
+    condition, in list order, over the same raster grid and accumulates
+    the band.  A sweep that varies only dose at fixed defocus reuses
+    one cached image when {!Tile_cache.enabled} (dose scales the
+    threshold, not the intensity).
     @raise Invalid_argument on an empty condition list. *)
 val compute :
-  ?pool:Exec.Pool.t ->
   Model.t ->
   Condition.t list ->
   window:Geometry.Rect.t ->

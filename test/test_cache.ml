@@ -1,6 +1,7 @@
 (* The litho tile cache's one hard promise: a hit is bit-identical to
    the simulation it replaces.  These tests exercise that promise at
-   every consumer (Aerial.simulate_tiles, Pvband.compute, Flow.run),
+   every consumer (Aerial.simulate over tile windows, Pvband.compute,
+   Flow.run),
    the byte-budget eviction, and the observability counters. *)
 
 module G = Geometry
@@ -37,12 +38,16 @@ let tile_windows =
       let x = i mod 2 * 1200 and y = i / 2 * 1200 in
       G.Rect.make ~lx:x ~ly:y ~hx:(x + 1200) ~hy:(y + 1200))
 
-let test_simulate_tiles_identical () =
+let test_tile_windows_identical () =
   let m = Lazy.force model in
   let chip = Lazy.force small_chip in
-  let source w = Layout.Chip.shapes_in chip Layout.Layer.Poly w in
   let sim () =
-    Litho.Aerial.simulate_tiles m Litho.Condition.nominal ~windows:tile_windows source
+    List.map
+      (fun window ->
+        Litho.Aerial.simulate m Litho.Condition.nominal ~window
+          (Layout.Chip.shapes_in chip Layout.Layer.Poly
+             (G.Rect.inflate window m.Litho.Model.halo)))
+      tile_windows
   in
   let off = with_cache false sim in
   let cold = with_cache true sim in
@@ -192,7 +197,7 @@ let () =
     [
       ( "identity",
         [
-          Alcotest.test_case "simulate_tiles" `Slow test_simulate_tiles_identical;
+          Alcotest.test_case "tile windows" `Slow test_tile_windows_identical;
           Alcotest.test_case "pvband" `Slow test_pvband_identical;
           Alcotest.test_case "flow" `Slow test_flow_identical;
         ] );
