@@ -71,10 +71,10 @@ let layout_block ~n =
 let mask_cache : (string, Opc.Mask.t * Opc.Model_opc.stats) Hashtbl.t = Hashtbl.create 4
 
 let mask_for chip ~style_name =
-  let cache_key =
+  let key =
     Printf.sprintf "%s:%d" style_name (Layout.Chip.num_instances chip)
   in
-  match Hashtbl.find_opt mask_cache cache_key with
+  match Hashtbl.find_opt mask_cache key with
   | Some m -> m
   | None ->
       let m = litho_model () in
@@ -88,13 +88,14 @@ let mask_for chip ~style_name =
       in
       Format.printf "  [opc] %s correction...@." style_name;
       let result = Opc.Chip_opc.correct m style chip ~tile:c.Timing_opc.Flow.tile in
-      Hashtbl.replace mask_cache cache_key result;
+      Hashtbl.replace mask_cache key result;
       result
 
-let extract chip mask condition =
+(* One record list per condition, in order (see Cdex.Extract.extract). *)
+let extract chip mask conditions =
   let m = litho_model () in
   let c = config () in
-  Cdex.Extract.extract ?pool:(pool ()) m condition ~mask:(Opc.Mask.source mask)
+  Cdex.Extract.extract ?pool:(pool ()) m conditions ~mask:(Opc.Mask.source mask)
     ~gates:(Layout.Chip.gates chip) ~slices:c.Timing_opc.Flow.slices
     ~tile:c.Timing_opc.Flow.tile ()
 

@@ -8,7 +8,7 @@ let run () =
   let mask, _ = Common.mask_for chip ~style_name:"model" in
   let condition = (Common.config ()).Timing_opc.Flow.condition in
   Format.printf "  silicon condition: %a@." Litho.Condition.pp condition;
-  let cds = Common.extract chip mask condition in
+  let cds = List.hd (Common.extract chip mask [ condition ]) in
   let by_context = Hashtbl.create 4 in
   List.iter
     (fun (cd : Cdex.Gate_cd.t) ->

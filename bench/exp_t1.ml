@@ -11,7 +11,7 @@ let run () =
   let drawn_l = float_of_int Common.tech.Layout.Tech.gate_length in
   let row style_name =
     let mask, _ = Common.mask_for chip ~style_name in
-    let cds = Common.extract chip mask Litho.Condition.nominal in
+    let cds = List.hd (Common.extract chip mask [ Litho.Condition.nominal ]) in
     let printed = List.filter (fun c -> c.Cdex.Gate_cd.printed) cds in
     let vals = Array.of_list (List.map Cdex.Gate_cd.mean_cd printed) in
     let s = Stats.Summary.of_array vals in

@@ -15,10 +15,11 @@ let run () =
       Litho.Condition.grid ~dose_range:(0.96, 1.04) ~dose_steps:3
         ~defocus_range:(0.0, 120.0) ~defocus_steps:3
   in
+  (* One extraction over the whole grid: each tile is simulated once
+     per defocus and thresholded at every dose. *)
   let rows =
-    List.map
-      (fun condition ->
-        let cds = Common.extract chip mask condition in
+    List.map2
+      (fun condition cds ->
         let printed = List.filter (fun c -> c.Cdex.Gate_cd.printed) cds in
         let vals = Array.of_list (List.map Cdex.Gate_cd.mean_cd printed) in
         let s = Stats.Summary.of_array vals in
@@ -31,6 +32,7 @@ let run () =
           Timing_opc.Report.nm s.Stats.Summary.min;
           Timing_opc.Report.nm s.Stats.Summary.max ])
       conditions
+      (Common.extract chip mask conditions)
   in
   Timing_opc.Report.table Common.ppf
     ~title:"printed gate CD per (dose, defocus) condition"

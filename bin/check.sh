@@ -1,7 +1,7 @@
 #!/bin/sh
 # Tier-1 gate for this repo (documented in README): full build, the
 # test suite — including the golden stdout byte-compares in test/ —
-# the smoke cases in bin/smoke.sh (multicore, obs + obs-check, cache,
+# the smoke cases in bin/smoke.sh (multicore, obs + obs-check,
 # fault/retry, checkpoint/resume, domain-count identity, serve), and
 # one perfbench correctness pass per workload.  bin/smoke.sh is the
 # single source of truth for the smoke cases: this wrapper only builds

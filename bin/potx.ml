@@ -84,7 +84,7 @@ let resolve_faults flag =
 (* The flow config shared by the one-shot run and the resident
    service; both hand it to Timing_opc_serve.Session, which runs the
    flow once and keeps the result warm. *)
-let flow_config ~opc ~seed ~dose ~defocus ~domains ~no_cache ~retries
+let flow_config ~opc ~seed ~dose ~defocus ~domains ~retries
     ~checkpoint_dir ~resume () =
   let base = Timing_opc.Flow.default_config () in
   let opc_style =
@@ -99,7 +99,6 @@ let flow_config ~opc ~seed ~dose ~defocus ~domains ~no_cache ~retries
     opc_style;
     condition = Litho.Condition.make ~dose ~defocus;
     domains = resolve_domains domains;
-    cache = base.Timing_opc.Flow.cache && not no_cache;
     retry = (if retries > 0 then Fault.retrying retries else Fault.env_retry ());
     checkpoint =
       (if checkpoint_dir = "" then None
@@ -113,11 +112,11 @@ let with_session ~bench config f =
     (fun () -> f session)
 
 let run_flow bench opc seed dose defocus spread report selective ssta domains
-    no_cache faults retries checkpoint_dir resume trace metrics profile =
+    faults retries checkpoint_dir resume trace metrics profile =
   with_obs ~profile ~trace ~metrics @@ fun () ->
   Fault.set_plan (resolve_faults faults);
   let config =
-    flow_config ~opc ~seed ~dose ~defocus ~domains ~no_cache ~retries
+    flow_config ~opc ~seed ~dose ~defocus ~domains ~retries
       ~checkpoint_dir ~resume ()
   in
   Format.printf "flow: %s, OPC=%s, silicon %a, seed %d, domains %d@." bench opc
@@ -127,12 +126,12 @@ let run_flow bench opc seed dose defocus spread report selective ssta domains
   Timing_opc_serve.Session.print_report Format.std_formatter session ~spread
     ~report ~selective ~ssta
 
-let serve_flow bench opc seed dose defocus domains no_cache faults retries
+let serve_flow bench opc seed dose defocus domains faults retries
     socket slowlog_ms slowlog_file trace metrics profile =
   with_obs ~profile ~trace ~metrics @@ fun () ->
   Fault.set_plan (resolve_faults faults);
   let config =
-    flow_config ~opc ~seed ~dose ~defocus ~domains ~no_cache ~retries
+    flow_config ~opc ~seed ~dose ~defocus ~domains ~retries
       ~checkpoint_dir:"" ~resume:false ()
   in
   (* The slow-query log goes to stderr unless a file is named; it must
@@ -212,15 +211,6 @@ let domains_arg =
            from the environment, else 1).  Results are bit-identical for \
            any value.")
 
-let no_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-cache" ]
-        ~doc:
-          "Disable the content-addressed litho tile cache for this run \
-           (results are bit-identical either way; this trades wall time for \
-           memory).  $(b,POTX_CACHE)=0 in the environment does the same.")
-
 let faults_arg =
   Arg.(
     value & opt string ""
@@ -295,7 +285,7 @@ let run_cmd =
     Term.(
       const run_flow $ bench_arg $ opc_arg $ seed_arg $ dose_arg $ defocus_arg
       $ spread_arg $ report_arg $ selective_arg $ ssta_arg $ domains_arg
-      $ no_cache_arg $ faults_arg $ retries_arg $ checkpoint_arg $ resume_arg
+      $ faults_arg $ retries_arg $ checkpoint_arg $ resume_arg
       $ trace_arg $ metrics_arg $ profile_arg)
 
 let socket_arg =
@@ -333,10 +323,9 @@ let serve_cmd =
     [ `S Manpage.s_description;
       `P
         "Runs the full flow at startup and keeps the placed chip, post-OPC \
-         mask, aerial tile cache, extracted CDs and annotated timing graph \
-         resident.  Requests are JSONL, one object per line on stdin (or \
-         the socket); each gets exactly one response line, in request \
-         order.  Verbs: status, retime, whatif, cds, corner, ssta \
+         mask, extracted CDs and annotated timing graph resident.  \
+         Requests are JSONL, one object per line on stdin (or the socket); \
+         each gets exactly one response line, in request order.  Verbs: status, retime, whatif, cds, corner, ssta \
          (process-window fit + canonical-form statistical timing, computed \
          once and served warm), metrics (with optional $(i,\"all\":true) for \
          the full registry plus latency quantiles), profile (wraps another \
@@ -344,13 +333,13 @@ let serve_cmd =
          the protocol reference in README.md.";
       `P
         "Responses are byte-deterministic: the same request script yields \
-         identical bytes for any $(b,--domains) or tile-cache state, and \
+         identical bytes for any $(b,--domains) value, and \
          each reply equals the matching cold one-shot run." ]
   in
   Cmd.v (Cmd.info "serve" ~doc ~man)
     Term.(
       const serve_flow $ bench_arg $ opc_arg $ seed_arg $ dose_arg
-      $ defocus_arg $ domains_arg $ no_cache_arg $ faults_arg $ retries_arg
+      $ defocus_arg $ domains_arg $ faults_arg $ retries_arg
       $ socket_arg $ slowlog_arg $ slowlog_file_arg $ trace_arg $ metrics_arg
       $ profile_arg)
 
@@ -439,14 +428,12 @@ let export_cmd =
 
 (* ---- cds ---- *)
 
-let export_cds bench seed path domains no_cache trace metrics =
+let export_cds bench seed path domains trace metrics =
   with_obs ~trace ~metrics @@ fun () ->
-  let base = Timing_opc.Flow.default_config () in
   let config =
-    { base with
+    { (Timing_opc.Flow.default_config ()) with
       Timing_opc.Flow.seed;
-      domains = resolve_domains domains;
-      cache = base.Timing_opc.Flow.cache && not no_cache }
+      domains = resolve_domains domains }
   in
   let r = Timing_opc.Flow.run config (netlist_of_name seed bench) in
   (* Exact (hex-float) CDs: a diff of two exports compares the CDs
@@ -459,7 +446,7 @@ let cds_cmd =
   Cmd.v
     (Cmd.info "cds" ~doc:"run the flow and export the extracted gate CDs as CSV")
     Term.(
-      const export_cds $ bench_arg $ seed_arg $ out $ domains_arg $ no_cache_arg
+      const export_cds $ bench_arg $ seed_arg $ out $ domains_arg
       $ trace_arg $ metrics_arg)
 
 (* ---- obs-check ---- *)
@@ -476,17 +463,13 @@ let contains ~needle hay =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
-(* The litho acceleration layer must be visible in any captured
-   metrics file: the instruments are registered at module load, so a
-   flow binary that fails to surface them has lost its wiring. *)
-let accel_metrics =
-  [ "litho.cache.hits"; "litho.cache.misses"; "litho.cache.evictions";
-    "litho.cache.bytes" ]
-
-(* Likewise the robustness layer: fault points, retry supervision and
-   the checkpoint store all register their counters at module load. *)
-let robust_metrics =
-  [ "fault.injected"; "exec.retries"; "flow.degraded_gates";
+(* The litho simulation counter and the robustness layer's counters
+   (fault points, retry supervision, the checkpoint store) are
+   registered at module load, so any captured metrics file carries
+   them; a flow binary that fails to surface them has lost its
+   wiring. *)
+let required_metrics =
+  [ "litho.simulations"; "fault.injected"; "exec.retries"; "flow.degraded_gates";
     "flow.checkpoint.saved"; "flow.checkpoint.loaded";
     "flow.checkpoint.rejected" ]
 
@@ -571,7 +554,7 @@ let obs_check trace metrics min_metrics require_nonzero serve =
       (fun required ->
         if not (List.mem required names) then
           problem "%s: missing metric %S" metrics required)
-      (accel_metrics @ robust_metrics);
+      required_metrics;
     let value_of name =
       List.find_map
         (fun j ->
@@ -654,8 +637,7 @@ let obs_check_cmd =
       & info [ "require-nonzero" ]
           ~doc:
             "Fail unless the named counter/gauge has a value > 0 in the \
-             metrics file (repeatable).  bin/check.sh uses this to assert the \
-             tile cache actually hit." ~docv:"NAME")
+             metrics file (repeatable)." ~docv:"NAME")
   in
   let serve =
     Arg.(
@@ -675,7 +657,7 @@ let obs_check_cmd =
 (* ---- obs-report ---- *)
 
 (* Human summary over captured observability files: per-verb latency
-   quantiles, worker-pool occupancy, litho-cache hit rate and the
+   quantiles, worker-pool occupancy and the
    per-stage wall/allocation table out of a --metrics dump, plus the
    span self-time table out of a --trace dump. *)
 
@@ -736,17 +718,6 @@ let obs_report metrics trace =
                 Format.printf "  %-12s (no up_s gauge: pool was not shut down)@."
                   pool)
           pools);
-    (match Obs.Report.cache_hit_rate ms with
-    | None -> ()
-    | Some rate ->
-        let c name = Option.value ~default:0 (Obs.Report.counter_of name ms) in
-        Format.printf
-          "@.litho tile cache: hit rate %.1f%% (%d hits / %d misses, %d \
-           evictions, %.1f MB resident)@."
-          (rate *. 100.0) (c "litho.cache.hits") (c "litho.cache.misses")
-          (c "litho.cache.evictions")
-          (Option.value ~default:0.0 (Obs.Report.gauge_of "litho.cache.bytes" ms)
-          /. 1e6));
     let stages =
       List.filter_map
         (fun (name, v) ->
@@ -802,7 +773,7 @@ let obs_report_cmd =
     (Cmd.info "obs-report"
        ~doc:
          "summarise captured observability files: latency quantiles, pool \
-          occupancy, cache hit rate, per-stage wall/alloc, span self-time")
+          occupancy, per-stage wall/alloc, span self-time")
     Term.(const obs_report $ metrics $ trace)
 
 let () =

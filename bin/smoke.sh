@@ -25,7 +25,7 @@ case $BENCH in */*) ;; *) BENCH="./$BENCH" ;; esac
 # Pin the knobs the cases set explicitly, so a developer's environment
 # cannot perturb the byte-compares.
 unset POTX_DOMAINS POTX_FAULTS POTX_RETRIES \
-  POTX_CACHE POTX_TRACE POTX_METRICS POTX_PROFILE
+  POTX_TRACE POTX_METRICS POTX_PROFILE
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -71,17 +71,6 @@ case_obs() {
     --metrics "$work/metrics.jsonl" > /dev/null 2>&1 &&
     "$POTX" obs-check --trace "$work/trace.jsonl" \
       --metrics "$work/metrics.jsonl"
-}
-
-# Cached and uncached runs byte-identical, and the cache actually hit.
-case_cache() {
-  "$POTX" run --bench c17 --metrics "$work/cache_metrics.jsonl" \
-    > "$work/cached.out" 2> /dev/null &&
-    "$POTX" run --bench c17 --no-cache > "$work/uncached.out" 2> /dev/null &&
-    cmp "$work/base.out" "$work/cached.out" &&
-    cmp "$work/base.out" "$work/uncached.out" &&
-    "$POTX" obs-check --metrics "$work/cache_metrics.jsonl" \
-      --require-nonzero litho.cache.hits
 }
 
 # Injected transient faults absorbed by retries, output byte-identical.
@@ -196,7 +185,6 @@ run_case baseline case_baseline
 run_case multicore-bench case_multicore_bench
 run_case bench-flags case_bench_flags
 run_case obs case_obs
-run_case cache case_cache
 run_case fault-retry case_fault_retry
 run_case checkpoint-resume case_checkpoint_resume
 run_case domains-identity case_domains_identity

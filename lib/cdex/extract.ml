@@ -77,50 +77,72 @@ let measure_or_degrade ~retry intensity ~threshold ~slices ~search
     Obs.Metrics.incr m_degraded;
     (List.init slices (fun _ -> float_of_int g.Layout.Chip.drawn_l), true)
 
-let extract ?pool ?(retry = Fault.no_retry) model condition ~mask ~gates ?(slices = 7)
-    ?(tile = 6000) ?(search = 220.0) () =
+let extract ?pool ?(retry = Fault.no_retry) model conditions ~mask ~gates
+    ?(slices = 7) ?(tile = 6000) ?(search = 220.0) () =
+  if conditions = [] then invalid_arg "Extract.extract: no conditions";
   Obs.Span.with_ ~name:"cdex.extract"
     ~attrs:(fun () -> [ ("gates", string_of_int (List.length gates)) ])
   @@ fun () ->
   Fault.point "cdex.extract" @@ fun () ->
   let halo = model.Litho.Model.halo in
-  let threshold = Litho.Model.printed_threshold model condition in
+  let conditions = Array.of_list conditions in
+  (* Dose scales only the resist threshold, never the intensity, so a
+     bucket is simulated once per distinct defocus: the first condition
+     with a defocus simulates it, and every condition sharing it is
+     thresholded on that image.  One image is live at a time. *)
+  let same_defocus (a : Litho.Condition.t) (b : Litho.Condition.t) =
+    Float.equal a.Litho.Condition.defocus b.Litho.Condition.defocus
+  in
+  let first =
+    Array.map (fun c -> Option.get (Array.find_index (same_defocus c) conditions)) conditions
+  in
   let buckets = bucket_gates ~tile gates in
   Obs.Metrics.add m_tiles (List.length buckets);
   Obs.Metrics.add m_gates (List.length gates);
-  let measure_bucket bucket =
-    let window =
-      G.Rect.inflate
-        (G.Rect.hull_of_list (List.map (fun (g : Layout.Chip.gate_ref) -> g.Layout.Chip.gate) bucket))
-        300
-    in
-    let polygons = mask (G.Rect.inflate window halo) in
-    let intensity = Litho.Aerial.simulate model condition ~window polygons in
-    List.map
-      (fun g ->
-        let cds, printed =
-          measure_or_degrade ~retry intensity ~threshold ~slices ~search g
-        in
-        List.iter (Obs.Metrics.observe m_cd) cds;
-        { Gate_cd.gate = g; condition; cds; slices_requested = slices; printed })
-      bucket
+  let window_of bucket =
+    G.Rect.inflate
+      (G.Rect.hull_of_list (List.map (fun (g : Layout.Chip.gate_ref) -> g.Layout.Chip.gate) bucket))
+      300
   in
-  match pool with
-  | None -> List.concat_map measure_bucket buckets
-  | Some p ->
-      (* The mask source may build a spatial index lazily on first
-         query (Chip.shapes_in does); warm it on the calling domain so
-         worker tasks only perform concurrent reads. *)
-      (match buckets with
-      | b :: _ ->
-          ignore
-            (mask
-               (G.Rect.inflate
-                  (G.Rect.hull_of_list
-                     (List.map (fun (g : Layout.Chip.gate_ref) -> g.Layout.Chip.gate) b))
-                  halo))
-      | [] -> ());
-      Exec.Pool.concat_map_list ~label:"cdex.tiles" ~retry p measure_bucket buckets
+  let measure_bucket bucket =
+    let window = window_of bucket in
+    let polygons = mask (G.Rect.inflate window halo) in
+    let records = Array.make (Array.length conditions) [] in
+    let measure intensity k (condition : Litho.Condition.t) =
+      let threshold = Litho.Model.printed_threshold model condition in
+      records.(k) <-
+        List.map
+          (fun g ->
+            let cds, printed =
+              measure_or_degrade ~retry intensity ~threshold ~slices ~search g
+            in
+            List.iter (Obs.Metrics.observe m_cd) cds;
+            { Gate_cd.gate = g; condition; cds; slices_requested = slices; printed })
+          bucket
+    in
+    Array.iteri
+      (fun i condition ->
+        if first.(i) = i then begin
+          let intensity = Litho.Aerial.simulate model condition ~window polygons in
+          Array.iteri
+            (fun k c -> if first.(k) = i then measure intensity k c)
+            conditions
+        end)
+      conditions;
+    records
+  in
+  let per_bucket =
+    match pool with
+    | None -> List.map measure_bucket buckets
+    | Some p ->
+        (* The mask source may build a spatial index lazily on first
+           query (Chip.shapes_in does); warm it on the calling domain so
+           worker tasks only perform concurrent reads. *)
+        (match buckets with b :: _ -> ignore (mask (window_of b)) | [] -> ());
+        Exec.Pool.map_list ~label:"cdex.tiles" ~retry p measure_bucket buckets
+  in
+  List.init (Array.length conditions) (fun i ->
+      List.concat_map (fun records -> records.(i)) per_bucket)
 
 let in_region ~region (g : Layout.Chip.gate_ref) =
   G.Rect.touches region g.Layout.Chip.gate

@@ -11,13 +11,22 @@ type mask_source = Geometry.Rect.t -> Geometry.Polygon.t list
 (** The drawn poly layer of a chip as a mask source. *)
 val drawn_source : Layout.Chip.t -> mask_source
 
-(** [extract model condition ~mask ~gates ()] measures every gate.
+(** [extract model conditions ~mask ~gates ()] measures every gate
+    under every condition and returns one record list per condition,
+    in [conditions] order; single-condition callers pass [[c]].
     [slices] cutlines per gate (default 7); [tile] tile edge in nm
     (default 6000); [search] CD search reach in nm (default 220).
+
+    Each tile is simulated once per distinct defocus in [conditions]
+    (first-occurrence order) and every condition sharing that defocus
+    is thresholded at its own dose on the same image, so
+    [litho.simulations] grows by (distinct defoci x tiles).  Records
+    are bit-identical to separate one-condition calls.
+
     With [pool], tiles are simulated and measured in parallel (the
     mask source must tolerate concurrent window queries; its lazy
     index, if any, is warmed on the calling domain first).  The record
-    list and its order are bit-identical for any worker count.
+    lists and their order are bit-identical for any worker count.
 
     Fault handling: the stage is guarded by the [cdex.extract] fault
     point and each gate measurement by [cdex.measure].  [retry]
@@ -26,19 +35,20 @@ val drawn_source : Layout.Chip.t -> mask_source
     fails (injected fault surviving all attempts) falls back to its
     drawn CD — [slices] copies of [drawn_l], [printed = true] — and
     increments the [flow.degraded_gates] counter instead of aborting
-    the extraction. *)
+    the extraction.
+    @raise Invalid_argument on an empty condition list. *)
 val extract :
   ?pool:Exec.Pool.t ->
   ?retry:Fault.retry ->
   Litho.Model.t ->
-  Litho.Condition.t ->
+  Litho.Condition.t list ->
   mask:mask_source ->
   gates:Layout.Chip.gate_ref list ->
   ?slices:int ->
   ?tile:int ->
   ?search:float ->
   unit ->
-  Gate_cd.t list
+  Gate_cd.t list list
 
 (** {1 Region scoping}
 

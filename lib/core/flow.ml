@@ -13,7 +13,6 @@ type config = {
   seed : int;
   slices : int;
   domains : int;
-  cache : bool;
   retry : Fault.retry;
   checkpoint : Checkpoint.t option;
 }
@@ -36,7 +35,6 @@ let default_config () =
     seed = 42;
     slices = 7;
     domains = 1;
-    cache = Litho.Tile_cache.env_enabled ();
     retry = Fault.no_retry;
     checkpoint = None;
   }
@@ -211,10 +209,9 @@ let opc_style_tag = function
   | Model_opc -> "model"
 
 (* Content hash of everything the OPC stage's output depends on.
-   Domain count and the litho tile cache are deliberately excluded:
-   results are bit-identical across both (see Exec.Pool and
-   Litho.Tile_cache), so a checkpoint written at one domain count
-   resumes cleanly at another. *)
+   Domain count is deliberately excluded: results are bit-identical
+   across it (see Exec.Pool), so a checkpoint written at one domain
+   count resumes cleanly at another. *)
 let opc_key config ~extra chip =
   let oc = config.opc_config in
   Digest.to_hex
@@ -316,8 +313,16 @@ let add_silicon_noise config cds =
         { cd with Cdex.Gate_cd.cds = List.map bump cd.Cdex.Gate_cd.cds })
       cds
 
+(* Extraction over [conditions] with the config's slicing and the
+   per-gate silicon noise applied to each condition's records. *)
+let extract_conditions ?pool config conditions ~mask ~gates =
+  Cdex.Extract.extract ?pool ~retry:config.retry (litho_model config)
+    conditions ~mask:(Opc.Mask.source mask) ~gates ~slices:config.slices
+    ~tile:config.tile ()
+  |> List.map (add_silicon_noise config)
+
 let extract_and_time ?pool ?(ckpt_stage = "cds") ?(ckpt_extra = "") config
-    ~litho ~netlist ~chip ~mask ~loads ~clock_period =
+    ~netlist ~chip ~mask ~loads ~clock_period =
   let cds =
     supervised ~name:"flow.cdex" config
       ~checkpoint:
@@ -326,10 +331,9 @@ let extract_and_time ?pool ?(ckpt_stage = "cds") ?(ckpt_extra = "") config
           encode_cds,
           decode_cds )
       (fun () ->
-        Cdex.Extract.extract ?pool ~retry:config.retry litho config.condition
-          ~mask:(Opc.Mask.source mask) ~gates:(Layout.Chip.gates chip)
-          ~slices:config.slices ~tile:config.tile ()
-        |> add_silicon_noise config)
+        extract_conditions ?pool config [ config.condition ] ~mask
+          ~gates:(Layout.Chip.gates chip)
+        |> List.hd)
   in
   let annotation =
     supervised ~name:"flow.annotate" config (fun () ->
@@ -353,7 +357,6 @@ let run config netlist =
         ("domains", string_of_int config.domains) ])
   @@ fun () ->
   Obs.Metrics.incr m_runs;
-  Litho.Tile_cache.set_enabled config.cache;
   let litho =
     supervised ~name:"flow.litho_model" config (fun () -> litho_model config)
   in
@@ -389,7 +392,7 @@ let run config netlist =
             (fun () -> opc_of_config ?pool config litho chip)
         in
         let cds, annotation, post_opc_sta =
-          extract_and_time ?pool config ~litho ~netlist ~chip ~mask ~loads
+          extract_and_time ?pool config ~netlist ~chip ~mask ~loads
             ~clock_period
         in
         (mask, opc_stats, cds, annotation, post_opc_sta))
@@ -439,7 +442,6 @@ let run_selective r ~selected =
     ~attrs:(fun () -> [ ("selected", string_of_int (List.length selected)) ])
   @@ fun () ->
   let config = r.config in
-  Litho.Tile_cache.set_enabled config.cache;
   let litho = litho_model config in
   (* Selective runs checkpoint under their own stage names with the
      selected-gate set folded into the key, so a full-run checkpoint in
@@ -464,7 +466,7 @@ let run_selective r ~selected =
   in
   let cds, annotation, post_opc_sta =
     extract_and_time ?pool ~ckpt_stage:"cds_sel" ~ckpt_extra:sel_extra config
-      ~litho ~netlist:r.netlist ~chip:r.chip ~mask ~loads:r.loads
+      ~netlist:r.netlist ~chip:r.chip ~mask ~loads:r.loads
       ~clock_period:r.clock_period
   in
   { r with mask; opc_stats; cds; annotation; post_opc_sta }
@@ -504,18 +506,12 @@ let extract_at ?pool ?gates ?condition ?chip ?mask r =
   Obs.Span.with_ ~name:"flow.extract_at"
     ~attrs:(fun () -> [ ("gates", string_of_int (List.length gates)) ])
   @@ fun () ->
-  Litho.Tile_cache.set_enabled config.cache;
-  let litho = litho_model config in
   with_pool_opt ?pool config (fun pool ->
-      Cdex.Extract.extract ?pool ~retry:config.retry litho condition
-        ~mask:(Opc.Mask.source mask) ~gates ~slices:config.slices
-        ~tile:config.tile ()
-      |> add_silicon_noise config)
+      List.hd (extract_conditions ?pool config [ condition ] ~mask ~gates))
 
 let reopc_chip ?pool r chip =
   let config = r.config in
   Obs.Span.with_ ~name:"flow.reopc_chip" @@ fun () ->
-  Litho.Tile_cache.set_enabled config.cache;
   let litho = litho_model config in
   with_pool_opt ?pool config (fun pool -> opc_of_config ?pool config litho chip)
 
@@ -552,9 +548,10 @@ let mean_length (l : Circuit.Delay_model.lengths) =
   0.5 *. (l.Circuit.Delay_model.l_n +. l.Circuit.Delay_model.l_p)
 
 (* Fit per-gate CD distributions from process-window extraction and
-   propagate them as canonical delay forms.  Per window condition the
-   chip is re-measured against the warm mask (the tile cache absorbs
-   dose-only repeats) and each annotated instance contributes its mean
+   propagate them as canonical delay forms.  One extraction over the
+   window re-measures the chip against the warm mask — each bucket is
+   simulated once per distinct defocus and thresholded at every dose —
+   and per condition each annotated instance contributes its mean
    channel-length delta versus the base annotation; Ssta.fit splits
    the matrix into the across-chip (global) and per-gate residual
    (independent) components.  The silicon LER/local-dose noise
@@ -584,20 +581,17 @@ let ssta ?pool ?(window = default_window) r =
   Obs.Metrics.add m_ssta_conditions (List.length conditions);
   let dl =
     with_pool_opt ?pool config (fun pool ->
-        List.map
-          (fun condition ->
-            let cds = extract_at ?pool ~condition r in
-            let lengths =
-              lengths_of_annotation (annotate config cds) r.netlist
-            in
-            Array.of_list
-              (List.map
-                 (fun (name, b) ->
-                   match lengths name with
-                   | Some l -> mean_length l -. b
-                   | None -> 0.0)
-                 gates))
-          conditions)
+        extract_conditions ?pool config conditions ~mask:r.mask
+          ~gates:(Layout.Chip.gates r.chip))
+    |> List.map (fun cds ->
+           let lengths = lengths_of_annotation (annotate config cds) r.netlist in
+           Array.of_list
+             (List.map
+                (fun (name, b) ->
+                  match lengths name with
+                  | Some l -> mean_length l -. b
+                  | None -> 0.0)
+                gates))
     |> Array.of_list
   in
   let fit = Sta.Ssta.fit dl in

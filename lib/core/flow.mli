@@ -31,16 +31,6 @@ type config = {
           [Exec.Pool] of this width: model-OPC tiles and extraction
           buckets run as its tasks and merge in canonical order, so
           results are bit-identical for any value *)
-  cache : bool;
-      (** content-addressed litho tile cache ([Litho.Tile_cache]):
-          repeated cell patterns and dose-sweep conditions reuse stored
-          aerial images.  Hits are bit-identical to fresh simulations,
-          so this changes wall time only.  [run], [run_selective],
-          [extract_at] and [reopc_chip] set it process-wide
-          ({!Litho.Tile_cache.set_enabled}) on entry and never restore
-          it, so it stays in force for every later simulation in the
-          process until an entry point sets it again.  Default follows
-          the [POTX_CACHE] environment variable (unset = on) *)
   retry : Fault.retry;
       (** bounded-backoff supervision applied to every flow stage, to
           extraction pool tasks and to per-gate CD measurement (default
@@ -115,9 +105,8 @@ val leakage : run -> annotated:bool -> float
     flow internals.  Shared contract: every function is a
     deterministic pure function of its arguments and the run's config,
     so results are byte-identical regardless of worker-domain count
-    or tile-cache state (the [Exec.Pool] /
-    [Litho.Tile_cache] invariants), and a warm re-query equals the
-    same computation performed cold. *)
+    (the [Exec.Pool] invariant), and a warm re-query equals the same
+    computation performed cold. *)
 
 (** Per-instance effective lengths of the run's own annotation
     (memoised table over [run.annotation], same reduction as
@@ -167,8 +156,9 @@ val extract_at :
   run ->
   Cdex.Gate_cd.t list
 
-(** Full-chip OPC of a replacement chip under the run's config (style,
-    pool-parallel tiles and tile cache all as in {!run}) — the mask side of a geometric what-if.
+(** Full-chip OPC of a replacement chip under the run's config (style
+    and pool-parallel tiles as in {!run}) — the mask side of a
+    geometric what-if.
     Uses [pool] when given, else an internal pool per
     [config.domains].  No checkpointing. *)
 val reopc_chip :
@@ -199,13 +189,16 @@ type ssta_view = {
   ssta : Sta.Ssta.t;  (** canonical-form timing over the base annotation *)
 }
 
-(** [ssta r] re-measures the chip's CDs over the process window, fits
+(** [ssta r] re-measures the chip's CDs over the process window in one
+    {!Cdex.Extract.extract} call — each extraction bucket is simulated
+    once per distinct defocus, so the default 3x3 window costs 3
+    simulations per bucket, not 9 — fits
     the per-gate channel-length distribution (global + independent
     components, plus the config's frozen silicon-noise floor as an
     extra independent term) and propagates canonical delay forms over
     the run's own annotation — the statistical counterpart of
     {!corner_views}.  Deterministic: byte-identical output for any
-    pool/domain or cache state, warm or cold.  Under the
+    pool/domain count, warm or cold.  Under the
     [flow.ssta] span; counts [flow.ssta.conditions] and
     [flow.ssta.endpoints]. *)
 val ssta : ?pool:Exec.Pool.t -> ?window:window -> run -> ssta_view

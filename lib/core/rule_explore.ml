@@ -58,9 +58,10 @@ let evaluate (config : Flow.config) knob value ~block =
   let orc = Opc.Orc.verify litho orc_config ~mask ~drawn ~window in
   (* Extraction at the silicon condition. *)
   let cds =
-    Cdex.Extract.extract litho config.Flow.condition ~mask:(Opc.Mask.source mask)
-      ~gates:(Layout.Chip.gates chip) ~slices:config.Flow.slices
-      ~tile:config.Flow.tile ()
+    Cdex.Extract.extract litho [ config.Flow.condition ]
+      ~mask:(Opc.Mask.source mask) ~gates:(Layout.Chip.gates chip)
+      ~slices:config.Flow.slices ~tile:config.Flow.tile ()
+    |> List.hd
   in
   let printed = List.filter (fun c -> c.Cdex.Gate_cd.printed) cds in
   let vals = Array.of_list (List.map Cdex.Gate_cd.mean_cd printed) in

@@ -4,71 +4,17 @@ let m_simulations = Obs.Metrics.counter "litho.simulations"
 
 let () = Fault.declare "litho.simulate"
 
-(* ---- content-addressed simulation keys ---------------------------
-
-   A simulated tile is a pure function of (mask content inside the
-   raster extent, raster geometry, defocus-adjusted kernel stack).
-   Expressing the mask content as the ordered list of polygon
-   decomposition rectangles clipped to the extent and *translated to
-   the raster origin* makes the key translation-invariant, so repeated
-   cell rows hit anywhere on the chip.  Dose is deliberately absent: it scales only
-   [Model.printed_threshold], never the intensity, so a dose sweep at
-   fixed defocus is a single cache entry. *)
-
-(* Pixel extent of a raster in layout nm, rounded outward.  Clipping a
-   mask rectangle to this extent changes no painted pixel: boundary
-   pixels weight coverage by min/max against the pixel edge, and the
-   outward-rounded bound projects at or beyond the last pixel edge.
-   The clipped rect list therefore *is* the painted content. *)
-let paint_extent raster =
-  let o = Raster.origin raster in
-  let span n = int_of_float (Float.ceil (float_of_int n *. Raster.step raster)) in
-  G.Rect.make ~lx:o.G.Point.x ~ly:o.G.Point.y
-    ~hx:(o.G.Point.x + span (Raster.nx raster))
-    ~hy:(o.G.Point.y + span (Raster.ny raster))
-
-let clipped_rects raster polygons =
-  let extent = paint_extent raster in
-  List.concat_map
-    (fun p ->
-      List.filter_map (G.Rect.inter extent)
-        (G.Region.to_rects (G.Region.of_polygon p)))
-    polygons
-
-let cache_key (model : Model.t) (condition : Condition.t) raster rects =
-  let b = Buffer.create 256 in
-  let o = Raster.origin raster in
-  Buffer.add_string b
-    (Printf.sprintf "v3|%dx%d|%h|" (Raster.nx raster) (Raster.ny raster) (Raster.step raster));
-  List.iter
-    (fun (k : Model.kernel) ->
-      Buffer.add_string b
-        (Printf.sprintf "k%h,%h|"
-           (Model.effective_sigma model k ~defocus:condition.Condition.defocus)
-           k.Model.weight))
-    model.Model.kernels;
-  List.iter
-    (fun (r : G.Rect.t) ->
-      Buffer.add_string b
-        (Printf.sprintf "r%d,%d,%d,%d|"
-           (r.G.Rect.lx - o.G.Point.x) (r.G.Rect.ly - o.G.Point.y)
-           (r.G.Rect.hx - o.G.Point.x) (r.G.Rect.hy - o.G.Point.y)))
-    rects;
-  Buffer.contents b
-
-let paint_mask raster rects =
-  (* Clamp while painting: overlapping input shapes (e.g. a strap
-     joining a stripe) must not double-expose the mask.  Clamping
-     inside each rect's touched span is bit-identical to a final
-     whole-raster clamp (contributions are non-negative) without
-     scanning the nx*ny pixels a sparse tile never paints. *)
-  List.iter (Raster.paint_rect ~clamp:true raster) rects
-
 let mask_raster (model : Model.t) ~window polygons =
   let raster =
     Raster.of_window ~window ~halo:model.Model.halo ~step:model.Model.step
   in
-  paint_mask raster (clipped_rects raster polygons);
+  (* Clamp while painting: overlapping input shapes (e.g. a strap
+     joining a stripe) must not double-expose the mask.  Clamping
+     inside each rect's touched span is bit-identical to a final
+     whole-raster clamp (contributions are non-negative) without
+     scanning the nx*ny pixels a sparse tile never paints.  Parts of
+     a shape past the raster are clipped away by [paint_rect]. *)
+  List.iter (Raster.paint_polygon ~clamp:true raster) polygons;
   raster
 
 (* One box-blur cascade per kernel, each blended into the image as soon
@@ -90,31 +36,19 @@ let simulate (model : Model.t) (condition : Condition.t) ~window
   Obs.Span.with_ ~name:"litho.simulate"
     ~attrs:(fun () -> [ ("polygons", string_of_int (List.length polygons)) ])
   @@ fun () ->
-  (* The fault point fires before the cache lookup, so an injected
-     plan sees the same hit sequence whether or not the tile cache is
-     warm. *)
   Fault.point "litho.simulate" @@ fun () ->
   Obs.Metrics.incr m_simulations;
-  (* Geometry only until we know it's a miss: the nx*ny zero-fill is
-     the dominant allocation here and a cache hit never paints. *)
-  let shape =
-    Raster.shape_of_window ~window ~halo:model.Model.halo ~step:model.Model.step
-  in
-  let rects = clipped_rects shape polygons in
-  let key =
-    if Tile_cache.enabled () then Some (cache_key model condition shape rects)
-    else None
-  in
-  match
-    Option.bind key (Tile_cache.find Tile_cache.global ~origin:(Raster.origin shape))
-  with
-  | Some intensity -> intensity
-  | None ->
-      let mask = Raster.like shape in
-      paint_mask mask rects;
-      let intensity = convolve model condition mask in
-      Option.iter (fun k -> Tile_cache.store Tile_cache.global k intensity) key;
-      intensity
+  convolve model condition (mask_raster model ~window polygons)
+
+let per_defocus model ~window polygons =
+  let images = ref [] in
+  fun (c : Condition.t) ->
+    match List.assoc_opt c.Condition.defocus !images with
+    | Some image -> image
+    | None ->
+        let image = simulate model c ~window polygons in
+        images := (c.Condition.defocus, image) :: !images;
+        image
 
 let calibrate (model : Model.t) (tech : Layout.Tech.t) =
   (* Reference pattern: a dense array of vertical lines at drawn gate

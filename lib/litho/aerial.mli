@@ -13,21 +13,30 @@
     OPC and CD extraction run whole tiles on their pool, each tile
     making its own sequential [simulate] calls.
 
-    When {!Tile_cache.enabled}, every simulation first consults the
-    content-addressed {!Tile_cache.global}: the key is the clipped
-    mask geometry relative to the raster origin plus the raster
-    geometry and the defocus-adjusted kernel stack, so repeated cell
-    patterns hit at any placement and a dose sweep at fixed defocus
-    hits after its first condition (dose scales the threshold, not the
-    intensity).  Hits return a private copy and
-    are bit-identical to a fresh simulation by construction, so
-    enabling the cache never changes results — only wall time. *)
+    Every call paints and convolves, and counts [litho.simulations].
+    Dose is not an input of the image (it scales only
+    {!Model.printed_threshold}), so callers that sweep process
+    conditions — {!Pvband.compute}, CD extraction, {!per_defocus} —
+    simulate once per distinct defocus and threshold each condition on
+    that image. *)
 
 val simulate :
   Model.t ->
   Condition.t ->
   window:Geometry.Rect.t ->
   Geometry.Polygon.t list ->
+  Raster.t
+
+(** [per_defocus model ~window polygons] is [simulate model c ~window
+    polygons] as a function of the condition [c], simulating each
+    distinct defocus once, on first use, and returning that same
+    raster for every later condition with the same defocus.  The
+    rasters are shared: callers must not mutate them. *)
+val per_defocus :
+  Model.t ->
+  window:Geometry.Rect.t ->
+  Geometry.Polygon.t list ->
+  Condition.t ->
   Raster.t
 
 (** The rasterised (clamped, anti-aliased) mask without convolution;

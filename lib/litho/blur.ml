@@ -38,25 +38,39 @@ let box_h data nx ny w =
     done
   end
 
-let box_v data nx ny w =
+(* One vertical box pass of odd width [w], row-major: [acc] holds one
+   running sum per column, and each output row is read off it before
+   the entering row is added and the leaving row subtracted — the same
+   per-column operation order as a column-by-column sliding window, so
+   the result is bit-identical to it, but every access walks a row.
+   [src] receives a copy of the input, since rows that have left the
+   window are overwritten in [data] before they are subtracted. *)
+let box_v ~src ~acc data nx ny w =
   if w > 1 then begin
     let r = (w - 1) / 2 in
     let inv = 1.0 /. float_of_int w in
-    let tmp = Array.make ny 0.0 in
-    for ix = 0 to nx - 1 do
-      let acc = ref 0.0 in
-      for iy = 0 to min (ny - 1) r do
-        acc := !acc +. data.((iy * nx) + ix)
-      done;
-      for iy = 0 to ny - 1 do
-        tmp.(iy) <- !acc *. inv;
-        let enter = iy + r + 1 and leave = iy - r in
-        if enter < ny then acc := !acc +. data.((enter * nx) + ix);
-        if leave >= 0 then acc := !acc -. data.((leave * nx) + ix)
-      done;
-      for iy = 0 to ny - 1 do
-        data.((iy * nx) + ix) <- tmp.(iy)
+    Array.blit data 0 src 0 (nx * ny);
+    Array.fill acc 0 nx 0.0;
+    for iy = 0 to min (ny - 1) r do
+      let row = iy * nx in
+      for ix = 0 to nx - 1 do
+        acc.(ix) <- acc.(ix) +. src.(row + ix)
       done
+    done;
+    for iy = 0 to ny - 1 do
+      let row = iy * nx in
+      for ix = 0 to nx - 1 do
+        data.(row + ix) <- acc.(ix) *. inv
+      done;
+      let enter = (iy + r + 1) * nx and leave = (iy - r) * nx in
+      if iy + r + 1 < ny then
+        for ix = 0 to nx - 1 do
+          acc.(ix) <- acc.(ix) +. src.(enter + ix)
+        done;
+      if iy - r >= 0 then
+        for ix = 0 to nx - 1 do
+          acc.(ix) <- acc.(ix) -. src.(leave + ix)
+        done
     done
   end
 
@@ -66,5 +80,6 @@ let gaussian raster ~sigma_px =
     let nx = Raster.nx raster and ny = Raster.ny raster in
     let sizes = box_sizes ~sigma:sigma_px ~passes:3 in
     Array.iter (fun w -> box_h data nx ny w) sizes;
-    Array.iter (fun w -> box_v data nx ny w) sizes
+    let src = Array.make (nx * ny) 0.0 and acc = Array.make nx 0.0 in
+    Array.iter (fun w -> box_v ~src ~acc data nx ny w) sizes
   end

@@ -9,11 +9,9 @@ type t = {
 
 let compute (model : Model.t) conditions ~window polygons =
   if conditions = [] then invalid_arg "Pvband.compute: no conditions";
+  let image = Aerial.per_defocus model ~window polygons in
   let rasters =
-    List.map
-      (fun c ->
-        (Aerial.simulate model c ~window polygons, Model.printed_threshold model c))
-      conditions
+    List.map (fun c -> (image c, Model.printed_threshold model c)) conditions
   in
   let first, _ = List.hd rasters in
   let step = Raster.step first in

@@ -9,11 +9,12 @@ type t = {
   conditions : int;
 }
 
-(** [compute model conditions ~window polygons] simulates each
-    condition, in list order, over the same raster grid and accumulates
-    the band.  A sweep that varies only dose at fixed defocus reuses
-    one cached image when {!Tile_cache.enabled} (dose scales the
-    threshold, not the intensity).
+(** [compute model conditions ~window polygons] accumulates the band
+    over one raster grid.  It simulates once per distinct defocus, in
+    first-occurrence order, and thresholds every condition sharing that
+    defocus at its own dose (dose scales the threshold, not the
+    intensity), so [litho.simulations] grows by the number of distinct
+    defoci.
     @raise Invalid_argument on an empty condition list. *)
 val compute :
   Model.t ->

@@ -19,18 +19,6 @@ let of_window ~window ~halo ~step =
   let ny = int_of_float (ceil (float_of_int (G.Rect.height w) /. step)) + 1 in
   create ~origin:(G.Point.make w.G.Rect.lx w.G.Rect.ly) ~step ~nx ~ny
 
-(* Geometry-only raster: same origin/step/nx/ny as [of_window] but no
-   pixel storage.  Cache lookups need only the geometry (extent, key,
-   origin); skipping the nx*ny zero-fill keeps the hit path free of
-   the dominant allocation.  [like] materialises real storage. *)
-let shape_of_window ~window ~halo ~step =
-  let w = G.Rect.inflate window halo in
-  let nx = int_of_float (ceil (float_of_int (G.Rect.width w) /. step)) + 1 in
-  let ny = int_of_float (ceil (float_of_int (G.Rect.height w) /. step)) + 1 in
-  if nx <= 0 || ny <= 0 then invalid_arg "Raster.shape_of_window: empty raster";
-  if step <= 0.0 then invalid_arg "Raster.shape_of_window: step must be positive";
-  { origin = G.Point.make w.G.Rect.lx w.G.Rect.ly; step; nx; ny; data = [||] }
-
 let nx t = t.nx
 
 let ny t = t.ny
@@ -48,8 +36,6 @@ let fill t v = Array.fill t.data 0 (Array.length t.data) v
 let copy t = { t with data = Array.copy t.data }
 
 let like t = { t with data = Array.make (t.nx * t.ny) 0.0 }
-
-let relocate t ~origin = { t with origin }
 
 let blend ~dst ~src ~w =
   if dst.nx <> src.nx || dst.ny <> src.ny then
@@ -97,8 +83,8 @@ let paint_rect ?(clamp = false) t (r : G.Rect.t) =
     done
   end
 
-let paint_polygon t p =
-  List.iter (paint_rect t) (G.Region.to_rects (G.Region.of_polygon p))
+let paint_polygon ?clamp t p =
+  List.iter (paint_rect ?clamp t) (G.Region.to_rects (G.Region.of_polygon p))
 
 let sample t x y =
   (* Bilinear over pixel centres, clamped at borders. *)

@@ -14,13 +14,6 @@ val create : origin:Geometry.Point.t -> step:float -> nx:int -> ny:int -> t
 (** Raster covering [window] inflated by [halo] nm at the given step. *)
 val of_window : window:Geometry.Rect.t -> halo:int -> step:float -> t
 
-(** Same geometry as {!of_window} but with no pixel storage — for
-    cache-key/extent computation on lookup paths that may never paint.
-    Only the geometry accessors ([nx], [ny], [step], [origin]) and
-    {!like} are valid on a shape; {!get}/{!set}/{!sample} are not.
-    [like shape] materialises a real zero raster. *)
-val shape_of_window : window:Geometry.Rect.t -> halo:int -> step:float -> t
-
 val nx : t -> int
 
 val ny : t -> int
@@ -41,12 +34,6 @@ val copy : t -> t
     nx, ny) — the allocation pattern for accumulation buffers. *)
 val like : t -> t
 
-(** [relocate t ~origin] views the same pixel data at a different
-    layout origin.  The data array is shared with [t]; callers that
-    mutate must [copy] first.  Used by {!Tile_cache} to re-home a
-    content-addressed (translation-invariant) entry at a hit site. *)
-val relocate : t -> origin:Geometry.Point.t -> t
-
 (** Pointwise [dst := dst + w * src]; rasters must share geometry. *)
 val blend : dst:t -> src:t -> w:float -> unit
 
@@ -57,8 +44,9 @@ val blend : dst:t -> src:t -> w:float -> unit
     whole-raster clamp, without ever scanning unpainted pixels. *)
 val paint_rect : ?clamp:bool -> t -> Geometry.Rect.t -> unit
 
-(** Paint a polygon via its exact rectangle decomposition. *)
-val paint_polygon : t -> Geometry.Polygon.t -> unit
+(** Paint a polygon via its exact rectangle decomposition, each rect
+    as by {!paint_rect}. *)
+val paint_polygon : ?clamp:bool -> t -> Geometry.Polygon.t -> unit
 
 (** Bilinear sample at layout coordinates (float nm).  Outside the
     raster the value clamps to the border pixel. *)

@@ -93,9 +93,6 @@ let read_jsonl_file path =
 
 let find name metrics = List.assoc_opt name metrics
 
-let counter_of name metrics =
-  match find name metrics with Some (Metrics.Counter n) -> Some n | _ -> None
-
 let gauge_of name metrics =
   match find name metrics with Some (Metrics.Gauge v) -> Some v | _ -> None
 
@@ -127,12 +124,4 @@ let pool_occupancy ~pool metrics =
   match (g "busy_s", g "up_s", g "domains") with
   | Some busy, Some up, Some domains when up > 0.0 && domains > 0.0 ->
       Some (busy /. (up *. domains))
-  | _ -> None
-
-let cache_hit_rate metrics =
-  match
-    (counter_of "litho.cache.hits" metrics, counter_of "litho.cache.misses" metrics)
-  with
-  | Some h, Some m when h + m > 0 ->
-      Some (float_of_int h /. float_of_int (h + m))
   | _ -> None

@@ -1,7 +1,7 @@
 (** Read-side companion to {!Metrics}: quantile estimation over
     histogram snapshots, parsing a metrics JSONL file back into
-    values, and the derived figures [potx obs-report] prints (pool
-    occupancy, cache hit rate).
+    values, and the derived figure [potx obs-report] prints (pool
+    occupancy).
 
     Quantiles are estimated by linear interpolation inside the bucket
     containing the target rank, so they are a deterministic function
@@ -28,8 +28,6 @@ val read_jsonl_file : string -> (string * Metrics.value) list
 
 val find : string -> (string * Metrics.value) list -> Metrics.value option
 
-val counter_of : string -> (string * Metrics.value) list -> int option
-
 val gauge_of : string -> (string * Metrics.value) list -> float option
 
 val histogram_of :
@@ -41,7 +39,3 @@ val pool_names : (string * Metrics.value) list -> string list
 val pool_occupancy : pool:string -> (string * Metrics.value) list -> float option
 (** busy worker-seconds / (uptime × workers); [None] until the pool
     shut down (up_s is published at shutdown). *)
-
-val cache_hit_rate : (string * Metrics.value) list -> float option
-(** hits / (hits + misses) from [litho.cache.*]; [None] when the
-    cache was never consulted. *)

@@ -71,9 +71,10 @@ let verify model config ~mask ~drawn ~window =
   let violations = ref [] in
   let count = ref 0 in
   let sum_sq = ref 0.0 and max_epe = ref 0.0 in
+  let image = Litho.Aerial.per_defocus model ~window mask_polys in
   List.iter
     (fun condition ->
-      let intensity = Litho.Aerial.simulate model condition ~window mask_polys in
+      let intensity = image condition in
       let threshold = Litho.Model.printed_threshold model condition in
       List.iter
         (fun ((p : G.Point.t), (n : G.Point.t)) ->

@@ -76,11 +76,13 @@ let verify_not_printing model conditions ~bars ~mask =
     (fun bar ->
       let bb = G.Polygon.bbox bar in
       let local = G.Rect.inflate bb model.Litho.Model.halo in
+      let image =
+        Litho.Aerial.per_defocus model ~window:bb
+          (List.filter (fun p -> G.Rect.overlaps (G.Polygon.bbox p) local) mask)
+      in
       List.exists
         (fun condition ->
-          let intensity = Litho.Aerial.simulate model condition ~window:bb (
-            List.filter (fun p -> G.Rect.overlaps (G.Polygon.bbox p) local) mask)
-          in
+          let intensity = image condition in
           let threshold = Litho.Model.printed_threshold model condition in
           let c = G.Rect.center bb in
           Litho.Raster.sample intensity

@@ -256,9 +256,9 @@ let cds t region =
   in
   Ok (Protocol.Cds_r (List.map cd_record records))
 
-(* Re-measure every gate at the requested process condition (tile
-   cache absorbs repeats across corner queries) and re-time under the
-   resulting annotation. *)
+(* Re-measure every gate at the requested process condition (one fresh
+   simulation per extraction bucket) and re-time under the resulting
+   annotation. *)
 let corner t ~dose ~defocus ~spread =
   let r = t.run in
   let condition = Litho.Condition.make ~dose ~defocus in

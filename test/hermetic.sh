@@ -5,5 +5,5 @@
 # over the environment in bin/potx.ml), which is how the --domains 4
 # golden variant works without a special rule.
 unset POTX_DOMAINS POTX_FAULTS POTX_RETRIES \
-      POTX_CACHE POTX_TRACE POTX_METRICS POTX_PROFILE
+      POTX_TRACE POTX_METRICS POTX_PROFILE
 exec "$@"

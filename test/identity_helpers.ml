@@ -2,7 +2,7 @@
    test_ssta: one reduced flow config cheap enough to run dozens of
    times, exact renderings of a run and of an ssta view, and the
    sequential-baseline comparison every byte-identity preserving
-   feature (domains, cache, checkpoint, faults) is measured against. *)
+   feature (domains, checkpoint, faults) is measured against. *)
 
 module F = Timing_opc.Flow
 

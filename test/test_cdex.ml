@@ -70,8 +70,9 @@ let test_extract_all_gates () =
   let chip = small_chip () in
   let gates = Layout.Chip.gates chip in
   let cds =
-    Cdex.Extract.extract m Litho.Condition.nominal
+    Cdex.Extract.extract m [ Litho.Condition.nominal ]
       ~mask:(Cdex.Extract.drawn_source chip) ~gates ~slices:5 ()
+    |> List.hd
   in
   checki "one record per gate" (List.length gates) (List.length cds);
   List.iter
@@ -87,8 +88,9 @@ let test_extract_condition_sensitivity () =
   let gates = Layout.Chip.gates chip in
   let mean_at condition =
     let cds =
-      Cdex.Extract.extract m condition ~mask:(Cdex.Extract.drawn_source chip) ~gates
-        ~slices:3 ()
+      Cdex.Extract.extract m [ condition ] ~mask:(Cdex.Extract.drawn_source chip)
+        ~gates ~slices:3 ()
+      |> List.hd
     in
     let printed = List.filter (fun c -> c.Cdex.Gate_cd.printed) cds in
     let vals = List.map Cdex.Gate_cd.mean_cd printed in
@@ -97,6 +99,50 @@ let test_extract_condition_sensitivity () =
   let nominal = mean_at Litho.Condition.nominal in
   let overdose = mean_at (Litho.Condition.make ~dose:1.05 ~defocus:0.0) in
   checkb "dose widens gates" true (overdose > nominal +. 1.0)
+
+let counter name = Obs.Metrics.counter_value (Obs.Metrics.counter name)
+
+(* Marshalled without sharing, every float is written as its bit
+   pattern, so equal bytes is bit-identity. *)
+let bits (cds : Cdex.Gate_cd.t list) = Marshal.to_string cds [ Marshal.No_sharing ]
+
+(* One extraction over a 3x2 dose/defocus grid (two distinct defoci)
+   equals one single-condition extraction per condition, bit for bit,
+   at 1 and 2 domains, and simulates each bucket once per defocus. *)
+let test_extract_conditions_reuse () =
+  let m = Lazy.force model in
+  let chip = small_chip () in
+  let gates = Layout.Chip.gates chip in
+  let conditions =
+    Litho.Condition.grid ~dose_range:(0.97, 1.03) ~dose_steps:3
+      ~defocus_range:(0.0, 100.0) ~defocus_steps:2
+  in
+  let extract ?pool cs =
+    Cdex.Extract.extract ?pool m cs ~mask:(Cdex.Extract.drawn_source chip) ~gates
+      ~slices:3 ~tile:2000 ()
+  in
+  let singles = List.map (fun c -> bits (List.hd (extract [ c ]))) conditions in
+  let s0 = counter "litho.simulations" and t0 = counter "cdex.tiles" in
+  let multi = extract conditions in
+  let sims = counter "litho.simulations" - s0 and buckets = counter "cdex.tiles" - t0 in
+  checkb "several buckets" true (buckets > 1);
+  checki "simulations = distinct defoci x buckets" (2 * buckets) sims;
+  checki "one record list per condition" (List.length conditions) (List.length multi);
+  checkb "domains 1: multi = per-condition" true (List.map bits multi = singles);
+  let par = Exec.Pool.with_pool ~domains:2 (fun pool -> extract ~pool conditions) in
+  checkb "domains 2: multi = per-condition" true (List.map bits par = singles)
+
+(* Flow.ssta's default 3x3 window has three defoci: its one extraction
+   costs 3 simulations per bucket, not 9. *)
+let test_ssta_window_simulations () =
+  let r =
+    Timing_opc.Flow.run (Identity_helpers.cheap_config ()) (Circuit.Generator.c17 ())
+  in
+  let s0 = counter "litho.simulations" and t0 = counter "cdex.tiles" in
+  ignore (Timing_opc.Flow.ssta r);
+  let sims = counter "litho.simulations" - s0 and buckets = counter "cdex.tiles" - t0 in
+  checkb "buckets extracted" true (buckets > 0);
+  checki "simulations = 3 x buckets" (3 * buckets) sims
 
 (* ---- Context ---- *)
 
@@ -123,8 +169,9 @@ let test_annotate_build_and_find () =
   let chip = small_chip () in
   let gates = Layout.Chip.gates chip in
   let cds =
-    Cdex.Extract.extract m Litho.Condition.nominal
+    Cdex.Extract.extract m [ Litho.Condition.nominal ]
       ~mask:(Cdex.Extract.drawn_source chip) ~gates ~slices:5 ()
+    |> List.hd
   in
   let ann = Cdex.Annotate.build ~nmos:Device.Mosfet.nmos_90 ~pmos:Device.Mosfet.pmos_90 cds in
   checki "all gates annotated" (List.length gates) (Cdex.Annotate.size ann);
@@ -254,6 +301,9 @@ let () =
         [
           Alcotest.test_case "all gates" `Slow test_extract_all_gates;
           Alcotest.test_case "condition" `Slow test_extract_condition_sensitivity;
+          Alcotest.test_case "conditions reuse" `Slow test_extract_conditions_reuse;
+          Alcotest.test_case "ssta window simulations" `Slow
+            test_ssta_window_simulations;
         ] );
       ( "context",
         [

@@ -195,8 +195,8 @@ let transient_faults_bit_identical =
 
 let counter name = Obs.Metrics.counter_value (Obs.Metrics.counter name)
 
-(* Cross-feature identity matrix: {cache} x {checkpoint} x {absorbed
-   faults under retry} x {domains 1/4}, every cell hashing to the one
+(* Cross-feature identity matrix: {checkpoint} x {absorbed faults
+   under retry} x {domains 1/4}, every cell hashing to the one
    sequential output.  At 4 domains the injected faults fire inside
    pool-run OPC tiles and extraction buckets; a failed tile is not
    retried on its own but fails the OPC stage, whose retry re-runs it. *)
@@ -214,39 +214,33 @@ let test_feature_matrix () =
   in
   Fun.protect ~finally:(fun () -> Fault.set_plan None) @@ fun () ->
   List.iter
-    (fun cache ->
+    (fun with_ckpt ->
       List.iter
-        (fun with_ckpt ->
+        (fun faulty ->
           List.iter
-            (fun faulty ->
-              List.iter
-                (fun domains ->
-                  let what =
-                    Printf.sprintf "cache=%b ckpt=%b faults=%b domains=%d" cache
-                      with_ckpt faulty domains
-                  in
-                  Fault.set_plan (if faulty then Some plan else None);
-                  let checkpoint =
-                    if with_ckpt then
-                      Some
-                        (Timing_opc.Checkpoint.create
-                           ~dir:(Filename.temp_dir "potx_fault_" "matrix")
-                           ~resume:false)
-                    else None
-                  in
-                  let config =
-                    { (Identity_helpers.base_config ~domains ()) with
-                      Timing_opc.Flow.cache;
-                      checkpoint;
-                      retry = Fault.retrying 3 }
-                  in
-                  let r =
-                    Timing_opc.Flow.run config (Identity_helpers.netlist_of 0)
-                  in
-                  checkb (what ^ ": canonical hash") true
-                    (Digest.string (Identity_helpers.render_run r) = canonical))
-                [ 1; 4 ])
-            [ false; true ])
+            (fun domains ->
+              let what =
+                Printf.sprintf "ckpt=%b faults=%b domains=%d" with_ckpt faulty
+                  domains
+              in
+              Fault.set_plan (if faulty then Some plan else None);
+              let checkpoint =
+                if with_ckpt then
+                  Some
+                    (Timing_opc.Checkpoint.create
+                       ~dir:(Filename.temp_dir "potx_fault_" "matrix")
+                       ~resume:false)
+                else None
+              in
+              let config =
+                { (Identity_helpers.base_config ~domains ()) with
+                  Timing_opc.Flow.checkpoint;
+                  retry = Fault.retrying 3 }
+              in
+              let r = Timing_opc.Flow.run config (Identity_helpers.netlist_of 0) in
+              checkb (what ^ ": canonical hash") true
+                (Digest.string (Identity_helpers.render_run r) = canonical))
+            [ 1; 4 ])
         [ false; true ])
     [ false; true ];
   checkb "matrix really injected faults" true (counter "fault.injected" - injected0 > 0)
@@ -306,7 +300,7 @@ let () =
       ( "features",
         [
           Alcotest.test_case "observability counters" `Slow test_pool_counters;
-          Alcotest.test_case "cache x checkpoint x faults x domains" `Slow
+          Alcotest.test_case "checkpoint x faults x domains" `Slow
             test_feature_matrix;
         ] );
     ]

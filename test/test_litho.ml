@@ -112,6 +112,73 @@ let test_blur_identity_for_tiny_sigma () =
   Litho.Blur.gaussian r ~sigma_px:0.1;
   checkf 1e-9 "untouched" 1.0 (Litho.Raster.get r 5 5)
 
+(* The column-strided blur the row-major vertical pass replaced, kept
+   as the bit-identity reference.  One sliding-window box pass of odd
+   width [w] over [len] pixels [stride] apart from [base], summed into
+   [tmp] and written back: rows are stride 1, columns stride nx. *)
+let ref_box data ~base ~stride ~len w =
+  let r = (w - 1) / 2 and inv = 1.0 /. float_of_int w in
+  let at i = data.(base + (i * stride)) in
+  let tmp = Array.make len 0.0 and acc = ref 0.0 in
+  for i = 0 to min (len - 1) r do
+    acc := !acc +. at i
+  done;
+  for i = 0 to len - 1 do
+    tmp.(i) <- !acc *. inv;
+    if i + r + 1 < len then acc := !acc +. at (i + r + 1);
+    if i - r >= 0 then acc := !acc -. at (i - r)
+  done;
+  Array.iteri (fun i v -> data.(base + (i * stride)) <- v) tmp
+
+let ref_gaussian raster ~sigma_px =
+  if sigma_px > 0.25 then begin
+    let data = Litho.Raster.unsafe_data raster in
+    let nx = Litho.Raster.nx raster and ny = Litho.Raster.ny raster in
+    let sizes = Litho.Blur.box_sizes ~sigma:sigma_px ~passes:3 in
+    let passes w ~lines ~base ~stride ~len =
+      if w > 1 then
+        for k = 0 to lines - 1 do
+          ref_box data ~base:(base k) ~stride ~len w
+        done
+    in
+    Array.iter (fun w -> passes w ~lines:ny ~base:(fun iy -> iy * nx) ~stride:1 ~len:nx) sizes;
+    Array.iter (fun w -> passes w ~lines:nx ~base:Fun.id ~stride:nx ~len:ny) sizes
+  end
+
+let same_bits a b =
+  let a = Litho.Raster.unsafe_data a and b = Litho.Raster.unsafe_data b in
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* sigma 0.6 px gives box widths [1; 1; 3] (width-1 passes are
+   skipped); sigma 60 px gives boxes wider than any raster here. *)
+let blur_matches_reference =
+  QCheck.Test.make ~name:"matches column-strided reference"
+    ~count:150
+    QCheck.(
+      make
+        ~print:(fun (nx, ny, sigma, seed) ->
+          Printf.sprintf "nx=%d ny=%d sigma=%g seed=%d" nx ny sigma seed)
+        Gen.(
+          quad (int_range 1 48)
+            (oneof [ return 1; int_range 1 48 ])
+            (oneofl [ 0.6; 9.0; 24.0; 60.0 ])
+            int))
+    (fun (nx, ny, sigma, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let a = Litho.Raster.create ~origin:G.Point.origin ~step:5.0 ~nx ~ny in
+      for iy = 0 to ny - 1 do
+        for ix = 0 to nx - 1 do
+          Litho.Raster.set a ix iy (Random.State.float rng 1.0)
+        done
+      done;
+      let b = Litho.Raster.copy a in
+      Litho.Blur.gaussian a ~sigma_px:sigma;
+      ref_gaussian b ~sigma_px:sigma;
+      same_bits a b)
+
 (* ---- Model / Aerial ---- *)
 
 let test_calibration_prints_on_target () =
@@ -286,6 +353,85 @@ let test_pvband_single_condition_zero_band () =
   let pv = Litho.Pvband.compute m [ Litho.Condition.nominal ] ~window iso_line in
   checkf 1e-9 "no band with one condition" 0.0 pv.Litho.Pvband.band_area
 
+(* ---- identity against reference paths ---- *)
+
+let counter name = Obs.Metrics.counter_value (Obs.Metrics.counter name)
+
+let block =
+  lazy
+    (let rng = Stats.Rng.create 7 in
+     Layout.Placer.random_block tech Layout.Placer.default_config rng ~n:6)
+
+(* Aerial images of real mask tiles equal the kernel stack convolved
+   with the column-strided reference blur, bit for bit. *)
+let test_tile_windows_identical () =
+  let m = Lazy.force model in
+  let chip = Lazy.force block in
+  List.iter
+    (fun i ->
+      let x = i mod 2 * 1200 and y = i / 2 * 1200 in
+      let window = G.Rect.make ~lx:x ~ly:y ~hx:(x + 1200) ~hy:(y + 1200) in
+      let polygons =
+        Layout.Chip.shapes_in chip Layout.Layer.Poly
+          (G.Rect.inflate window m.Litho.Model.halo)
+      in
+      let condition = Litho.Condition.make ~dose:1.0 ~defocus:60.0 in
+      let mask = Litho.Aerial.mask_raster m ~window polygons in
+      let reference = Litho.Raster.like mask in
+      List.iter
+        (fun (k : Litho.Model.kernel) ->
+          let sigma =
+            Litho.Model.effective_sigma m k ~defocus:condition.Litho.Condition.defocus
+          in
+          let blurred = Litho.Raster.copy mask in
+          ref_gaussian blurred ~sigma_px:(sigma /. m.Litho.Model.step);
+          Litho.Raster.blend ~dst:reference ~src:blurred ~w:k.Litho.Model.weight)
+        m.Litho.Model.kernels;
+      checkb "tile image = reference" true
+        (same_bits (Litho.Aerial.simulate m condition ~window polygons) reference))
+    [ 0; 1; 2; 3 ]
+
+(* Five corner conditions share two defoci: Pvband simulates twice and
+   its band equals one built from an independent simulation per
+   condition. *)
+let test_pvband_identical () =
+  let m = Lazy.force model in
+  let chip = Lazy.force block in
+  let window = G.Rect.make ~lx:0 ~ly:0 ~hx:1500 ~hy:1500 in
+  let polygons =
+    Layout.Chip.shapes_in chip Layout.Layer.Poly
+      (G.Rect.inflate window m.Litho.Model.halo)
+  in
+  let conditions =
+    Litho.Condition.corners ~dose_range:(0.95, 1.05) ~defocus_range:(0.0, 120.0)
+  in
+  let s0 = counter "litho.simulations" in
+  let pv = Litho.Pvband.compute m conditions ~window polygons in
+  Alcotest.(check int) "simulations = distinct defoci" 2
+    (counter "litho.simulations" - s0);
+  let images =
+    List.map
+      (fun c ->
+        ( Litho.Aerial.simulate m c ~window polygons,
+          Litho.Model.printed_threshold m c ))
+      conditions
+  in
+  let first, _ = List.hd images in
+  let inner = ref 0.0 and outer = ref 0.0 in
+  let px = Litho.Raster.step first *. Litho.Raster.step first in
+  for iy = 0 to Litho.Raster.ny first - 1 do
+    for ix = 0 to Litho.Raster.nx first - 1 do
+      let x = Litho.Raster.x_of_ix first ix and y = Litho.Raster.y_of_iy first iy in
+      if x >= 0.0 && x <= 1500.0 && y >= 0.0 && y <= 1500.0 then begin
+        let printed (r, th) = Litho.Raster.get r ix iy >= th in
+        if List.for_all printed images then inner := !inner +. px;
+        if List.exists printed images then outer := !outer +. px
+      end
+    done
+  done;
+  checkb "inner area identical" true (Float.equal pv.Litho.Pvband.inner_area !inner);
+  checkb "outer area identical" true (Float.equal pv.Litho.Pvband.outer_area !outer)
+
 let () =
   Alcotest.run "litho"
     [
@@ -309,6 +455,7 @@ let () =
           Alcotest.test_case "mass" `Quick test_blur_conserves_mass;
           Alcotest.test_case "spreads" `Quick test_blur_spreads;
           Alcotest.test_case "tiny sigma" `Quick test_blur_identity_for_tiny_sigma;
+          QCheck_alcotest.to_alcotest blur_matches_reference;
         ] );
       ( "aerial",
         [
@@ -334,5 +481,10 @@ let () =
         [
           Alcotest.test_case "ordering" `Slow test_pvband_ordering;
           Alcotest.test_case "single condition" `Slow test_pvband_single_condition_zero_band;
+        ] );
+      ( "identity",
+        [
+          Alcotest.test_case "tile windows" `Slow test_tile_windows_identical;
+          Alcotest.test_case "pvband" `Slow test_pvband_identical;
         ] );
     ]

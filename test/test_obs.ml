@@ -377,14 +377,10 @@ let test_report_metric_roundtrip () =
 
 let test_report_derived () =
   let ms =
-    [ ("litho.cache.hits", Obs.Metrics.Counter 3);
-      ("litho.cache.misses", Obs.Metrics.Counter 1);
-      ("exec.pool.p.busy_s", Obs.Metrics.Gauge 2.0);
+    [ ("exec.pool.p.busy_s", Obs.Metrics.Gauge 2.0);
       ("exec.pool.p.up_s", Obs.Metrics.Gauge 4.0);
       ("exec.pool.p.domains", Obs.Metrics.Gauge 2.0) ]
   in
-  checkb "hit rate 3/4" true (Obs.Report.cache_hit_rate ms = Some 0.75);
-  checkb "no cache traffic -> None" true (Obs.Report.cache_hit_rate [] = None);
   checkb "pool discovered" true (Obs.Report.pool_names ms = [ "p" ]);
   checkb "occupancy = busy/(up*domains)" true
     (Obs.Report.pool_occupancy ~pool:"p" ms = Some 0.25);
@@ -415,11 +411,8 @@ let test_flow_metrics_domain_independent () =
     Obs.Metrics.snapshot Obs.Metrics.global
     |> List.filter_map (fun (name, v) ->
            (* Gauges carry wall time and exec.pool.* exists only when a
-              pool is created; both are exempt from the contract, as
-              are the litho.cache.* hit/miss counters, which depend on
-              whatever earlier runs left in the process-wide cache. *)
+              pool is created; both are exempt from the contract. *)
            if String.length name >= 10 && String.sub name 0 10 = "exec.pool." then None
-           else if String.length name >= 12 && String.sub name 0 12 = "litho.cache." then None
            else
              match v with
              | Obs.Metrics.Counter n -> Some (name, `C n)

@@ -297,7 +297,7 @@ let criticality_sums_to_one =
            t.Sta.Ssta.endpoints
       && sorted t.Sta.Ssta.endpoints)
 
-(* ---- Closed-form determinism across domains / cache ---- *)
+(* ---- Closed-form determinism across domains ---- *)
 
 let cheap_config = Identity_helpers.cheap_config
 
@@ -323,17 +323,15 @@ let test_ssta_bytes_stable_across_domains () =
     && seq.Timing_opc.Flow.ssta = p4.Timing_opc.Flow.ssta);
   Alcotest.(check string) "rendered bytes" (render seq) (render p4)
 
-(* The base run re-done with OPC and extraction on a 2-domain pool
-   and the tile cache off: its ssta view must not move a bit. *)
-let test_ssta_bytes_stable_across_domains_and_cache () =
+(* The base run re-done with OPC and extraction on a 2-domain pool:
+   its ssta view must not move a bit. *)
+let test_ssta_bytes_stable_across_run_domains () =
   let r = Lazy.force base_run in
-  let alt_config =
-    { (cheap_config ()) with Timing_opc.Flow.domains = 2; cache = false }
-  in
+  let alt_config = { (cheap_config ()) with Timing_opc.Flow.domains = 2 } in
   let alt = Timing_opc.Flow.run alt_config (Circuit.Generator.c17 ()) in
   let a = Timing_opc.Flow.ssta ~window r in
   let b = Timing_opc.Flow.ssta ~window alt in
-  Alcotest.(check string) "domains/cache bytes" (render a) (render b);
+  Alcotest.(check string) "domains bytes" (render a) (render b);
   checkb "fit bit-identical" true (a.Timing_opc.Flow.fit = b.Timing_opc.Flow.fit);
   checkb "ssta bit-identical" true
     (a.Timing_opc.Flow.ssta = b.Timing_opc.Flow.ssta)
@@ -373,7 +371,7 @@ let () =
       ( "determinism",
         [
           Alcotest.test_case "domains" `Slow test_ssta_bytes_stable_across_domains;
-          Alcotest.test_case "domains and cache" `Slow
-            test_ssta_bytes_stable_across_domains_and_cache;
+          Alcotest.test_case "run at 2 domains" `Slow
+            test_ssta_bytes_stable_across_run_domains;
         ] );
     ]
