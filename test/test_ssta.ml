@@ -371,7 +371,7 @@ let () =
       ( "determinism",
         [
           Alcotest.test_case "domains" `Slow test_ssta_bytes_stable_across_domains;
-          Alcotest.test_case "run at 2 domains" `Slow
+          Alcotest.test_case "run on a two-domain pool" `Slow
             test_ssta_bytes_stable_across_run_domains;
         ] );
     ]
