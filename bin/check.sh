@@ -2,7 +2,7 @@
 # Tier-1 gate for this repo (documented in README): full build, the
 # test suite — including the golden stdout byte-compares in test/ —
 # the smoke cases in bin/smoke.sh (multicore, obs + obs-check,
-# fault/retry, checkpoint/resume, domain-count identity, serve), and
+# checkpoint/resume, domain-count identity, serve), and
 # one perfbench correctness pass per workload.  bin/smoke.sh is the
 # single source of truth for the smoke cases: this wrapper only builds
 # and hands it the artifacts (the bin/dune `smokes` alias runs the

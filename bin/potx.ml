@@ -68,24 +68,12 @@ let with_obs ?(profile = "") ~trace ~metrics f =
           Format.eprintf "wrote metrics %s@." path)
     f
 
-(* Fault plan: the --faults flag when non-empty, else POTX_FAULTS.
-   Parse errors are fatal — a silently ignored fault spec would make a
-   chaos run indistinguishable from a clean one. *)
-let resolve_faults flag =
-  Option.map
-    (fun s ->
-      match Fault.parse s with
-      | Ok plan -> plan
-      | Error e -> failwith (Printf.sprintf "bad fault spec %S: %s" s e))
-    (resolve_sink flag "POTX_FAULTS")
-
 (* ---- run / serve ---- *)
 
 (* The flow config shared by the one-shot run and the resident
    service; both hand it to Timing_opc_serve.Session, which runs the
    flow once and keeps the result warm. *)
-let flow_config ~opc ~seed ~dose ~defocus ~domains ~retries
-    ~checkpoint_dir ~resume () =
+let flow_config ~opc ~seed ~dose ~defocus ~domains ~checkpoint_dir ~resume () =
   let base = Timing_opc.Flow.default_config () in
   let opc_style =
     match opc with
@@ -99,7 +87,6 @@ let flow_config ~opc ~seed ~dose ~defocus ~domains ~retries
     opc_style;
     condition = Litho.Condition.make ~dose ~defocus;
     domains = resolve_domains domains;
-    retry = (if retries > 0 then Fault.retrying retries else Fault.env_retry ());
     checkpoint =
       (if checkpoint_dir = "" then None
        else Some (Timing_opc.Checkpoint.create ~dir:checkpoint_dir ~resume)) }
@@ -112,12 +99,10 @@ let with_session ~bench config f =
     (fun () -> f session)
 
 let run_flow bench opc seed dose defocus spread report selective ssta domains
-    faults retries checkpoint_dir resume trace metrics profile =
+    checkpoint_dir resume trace metrics profile =
   with_obs ~profile ~trace ~metrics @@ fun () ->
-  Fault.set_plan (resolve_faults faults);
   let config =
-    flow_config ~opc ~seed ~dose ~defocus ~domains ~retries
-      ~checkpoint_dir ~resume ()
+    flow_config ~opc ~seed ~dose ~defocus ~domains ~checkpoint_dir ~resume ()
   in
   Format.printf "flow: %s, OPC=%s, silicon %a, seed %d, domains %d@." bench opc
     Litho.Condition.pp config.Timing_opc.Flow.condition seed
@@ -126,13 +111,12 @@ let run_flow bench opc seed dose defocus spread report selective ssta domains
   Timing_opc_serve.Session.print_report Format.std_formatter session ~spread
     ~report ~selective ~ssta
 
-let serve_flow bench opc seed dose defocus domains faults retries
-    socket slowlog_ms slowlog_file trace metrics profile =
+let serve_flow bench opc seed dose defocus domains socket slowlog_ms slowlog_file
+    trace metrics profile =
   with_obs ~profile ~trace ~metrics @@ fun () ->
-  Fault.set_plan (resolve_faults faults);
   let config =
-    flow_config ~opc ~seed ~dose ~defocus ~domains ~retries
-      ~checkpoint_dir:"" ~resume:false ()
+    flow_config ~opc ~seed ~dose ~defocus ~domains ~checkpoint_dir:""
+      ~resume:false ()
   in
   (* The slow-query log goes to stderr unless a file is named; it must
      never share the response channel (byte-determinism contract). *)
@@ -211,26 +195,6 @@ let domains_arg =
            from the environment, else 1).  Results are bit-identical for \
            any value.")
 
-let faults_arg =
-  Arg.(
-    value & opt string ""
-    & info [ "faults" ]
-        ~doc:
-          "Deterministic fault-injection plan, e.g. \
-           $(b,litho.simulate=fail2;sta.*=p0.1;seed=7) (see lib/fault for the \
-           grammar).  Empty = take $(b,POTX_FAULTS) from the environment, \
-           else no faults are injected." ~docv:"SPEC")
-
-let retries_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "retries" ]
-        ~doc:
-          "Bounded-backoff retries per flow stage and extraction task (0 = \
-           take $(b,POTX_RETRIES) from the environment, else none).  A run \
-           whose transient faults are all absorbed by retries is \
-           byte-identical to a fault-free run.")
-
 let checkpoint_arg =
   Arg.(
     value & opt string ""
@@ -285,8 +249,7 @@ let run_cmd =
     Term.(
       const run_flow $ bench_arg $ opc_arg $ seed_arg $ dose_arg $ defocus_arg
       $ spread_arg $ report_arg $ selective_arg $ ssta_arg $ domains_arg
-      $ faults_arg $ retries_arg $ checkpoint_arg $ resume_arg
-      $ trace_arg $ metrics_arg $ profile_arg)
+      $ checkpoint_arg $ resume_arg $ trace_arg $ metrics_arg $ profile_arg)
 
 let socket_arg =
   Arg.(
@@ -339,9 +302,8 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc ~man)
     Term.(
       const serve_flow $ bench_arg $ opc_arg $ seed_arg $ dose_arg
-      $ defocus_arg $ domains_arg $ faults_arg $ retries_arg
-      $ socket_arg $ slowlog_arg $ slowlog_file_arg $ trace_arg $ metrics_arg
-      $ profile_arg)
+      $ defocus_arg $ domains_arg $ socket_arg $ slowlog_arg $ slowlog_file_arg
+      $ trace_arg $ metrics_arg $ profile_arg)
 
 (* ---- cells ---- *)
 
@@ -463,14 +425,12 @@ let contains ~needle hay =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
-(* The litho simulation counter and the robustness layer's counters
-   (fault points, retry supervision, the checkpoint store) are
-   registered at module load, so any captured metrics file carries
+(* The litho simulation counter and the checkpoint store's counters
+   are registered at module load, so any captured metrics file carries
    them; a flow binary that fails to surface them has lost its
    wiring. *)
 let required_metrics =
-  [ "litho.simulations"; "fault.injected"; "exec.retries"; "flow.degraded_gates";
-    "flow.checkpoint.saved"; "flow.checkpoint.loaded";
+  [ "litho.simulations"; "flow.checkpoint.saved"; "flow.checkpoint.loaded";
     "flow.checkpoint.rejected" ]
 
 let obs_check trace metrics min_metrics require_nonzero serve =

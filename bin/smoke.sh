@@ -24,8 +24,7 @@ case $BENCH in */*) ;; *) BENCH="./$BENCH" ;; esac
 
 # Pin the knobs the cases set explicitly, so a developer's environment
 # cannot perturb the byte-compares.
-unset POTX_DOMAINS POTX_FAULTS POTX_RETRIES \
-  POTX_TRACE POTX_METRICS POTX_PROFILE
+unset POTX_DOMAINS POTX_TRACE POTX_METRICS POTX_PROFILE
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -71,18 +70,6 @@ case_obs() {
     --metrics "$work/metrics.jsonl" > /dev/null 2>&1 &&
     "$POTX" obs-check --trace "$work/trace.jsonl" \
       --metrics "$work/metrics.jsonl"
-}
-
-# Injected transient faults absorbed by retries, output byte-identical.
-case_fault_retry() {
-  "$POTX" run --bench c17 \
-    --faults 'litho.simulate=fail2;sta.analyze=fail1;cdex.annotate=fail1' \
-    --retries 3 --metrics "$work/fault_metrics.jsonl" \
-    > "$work/faulted.out" 2> /dev/null &&
-    cmp "$work/base.out" "$work/faulted.out" &&
-    "$POTX" obs-check --metrics "$work/fault_metrics.jsonl" \
-      --require-nonzero fault.injected \
-      --require-nonzero exec.retries
 }
 
 case_checkpoint_resume() {
@@ -185,7 +172,6 @@ run_case baseline case_baseline
 run_case multicore-bench case_multicore_bench
 run_case bench-flags case_bench_flags
 run_case obs case_obs
-run_case fault-retry case_fault_retry
 run_case checkpoint-resume case_checkpoint_resume
 run_case domains-identity case_domains_identity
 run_case ssta case_ssta

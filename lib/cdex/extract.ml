@@ -6,14 +6,6 @@ let m_tiles = Obs.Metrics.counter "cdex.tiles"
 
 let m_gates = Obs.Metrics.counter "cdex.gates"
 
-(* Gates whose measurement permanently failed and fell back to the
-   drawn CD instead of aborting the run (see [measure_or_degrade]). *)
-let m_degraded = Obs.Metrics.counter "flow.degraded_gates"
-
-let () =
-  Fault.declare "cdex.extract";
-  Fault.declare "cdex.measure"
-
 (* Measured slice CDs in nm; the 90 nm drawn gate sits mid-range. *)
 let m_cd =
   Obs.Metrics.histogram
@@ -61,29 +53,12 @@ let measure_gate intensity ~threshold ~slices ~search (g : Layout.Chip.gate_ref)
   in
   (cds, List.length cds = slices)
 
-(* Measure one gate behind the [cdex.measure] fault point.  Transient
-   injected faults are absorbed by [retry]; a permanent failure does
-   not abort the extraction — the gate degrades to its drawn CD (one
-   measurement per requested slice) and is counted in
-   [flow.degraded_gates].  Only {!Fault.Injected} degrades; genuine
-   exceptions still propagate. *)
-let measure_or_degrade ~retry intensity ~threshold ~slices ~search
-    (g : Layout.Chip.gate_ref) =
-  try
-    Fault.with_retry retry (fun () ->
-        Fault.point "cdex.measure" (fun () ->
-            measure_gate intensity ~threshold ~slices ~search g))
-  with Fault.Injected _ ->
-    Obs.Metrics.incr m_degraded;
-    (List.init slices (fun _ -> float_of_int g.Layout.Chip.drawn_l), true)
-
-let extract ?pool ?(retry = Fault.no_retry) model conditions ~mask ~gates
-    ?(slices = 7) ?(tile = 6000) ?(search = 220.0) () =
+let extract ?pool model conditions ~mask ~gates ?(slices = 7) ?(tile = 6000)
+    ?(search = 220.0) () =
   if conditions = [] then invalid_arg "Extract.extract: no conditions";
   Obs.Span.with_ ~name:"cdex.extract"
     ~attrs:(fun () -> [ ("gates", string_of_int (List.length gates)) ])
   @@ fun () ->
-  Fault.point "cdex.extract" @@ fun () ->
   let halo = model.Litho.Model.halo in
   let conditions = Array.of_list conditions in
   (* Dose scales only the resist threshold, never the intensity, so a
@@ -113,9 +88,7 @@ let extract ?pool ?(retry = Fault.no_retry) model conditions ~mask ~gates
       records.(k) <-
         List.map
           (fun g ->
-            let cds, printed =
-              measure_or_degrade ~retry intensity ~threshold ~slices ~search g
-            in
+            let cds, printed = measure_gate intensity ~threshold ~slices ~search g in
             List.iter (Obs.Metrics.observe m_cd) cds;
             { Gate_cd.gate = g; condition; cds; slices_requested = slices; printed })
           bucket
@@ -139,7 +112,7 @@ let extract ?pool ?(retry = Fault.no_retry) model conditions ~mask ~gates
            query (Chip.shapes_in does); warm it on the calling domain so
            worker tasks only perform concurrent reads. *)
         (match buckets with b :: _ -> ignore (mask (window_of b)) | [] -> ());
-        Exec.Pool.map_list ~label:"cdex.tiles" ~retry p measure_bucket buckets
+        Exec.Pool.map_list ~label:"cdex.tiles" p measure_bucket buckets
   in
   List.init (Array.length conditions) (fun i ->
       List.concat_map (fun records -> records.(i)) per_bucket)

@@ -27,19 +27,9 @@ val drawn_source : Layout.Chip.t -> mask_source
     mask source must tolerate concurrent window queries; its lazy
     index, if any, is warmed on the calling domain first).  The record
     lists and their order are bit-identical for any worker count.
-
-    Fault handling: the stage is guarded by the [cdex.extract] fault
-    point and each gate measurement by [cdex.measure].  [retry]
-    (default {!Fault.no_retry}) supervises both the pool tasks and the
-    per-gate measurement; a gate whose measurement {e permanently}
-    fails (injected fault surviving all attempts) falls back to its
-    drawn CD — [slices] copies of [drawn_l], [printed = true] — and
-    increments the [flow.degraded_gates] counter instead of aborting
-    the extraction.
     @raise Invalid_argument on an empty condition list. *)
 val extract :
   ?pool:Exec.Pool.t ->
-  ?retry:Fault.retry ->
   Litho.Model.t ->
   Litho.Condition.t list ->
   mask:mask_source ->

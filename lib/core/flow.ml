@@ -13,7 +13,6 @@ type config = {
   seed : int;
   slices : int;
   domains : int;
-  retry : Fault.retry;
   checkpoint : Checkpoint.t option;
 }
 
@@ -35,7 +34,6 @@ let default_config () =
     seed = 42;
     slices = 7;
     domains = 1;
-    retry = Fault.no_retry;
     checkpoint = None;
   }
 
@@ -59,28 +57,20 @@ let staged ~name f =
         (Float.max 0.0 (words s1 -. words s0) /. 1e6))
     f
 
-(* Span + bounded-retry supervision for one flow stage.  The span's
-   [retries] attribute reads the counter when the span closes, so it
-   reports the attempts actually taken.  An optional [checkpoint]
-   (stage name, input key, codec) is consulted outside the retry loop:
-   a loaded stage takes no attempts, a computed one is saved once. *)
-let supervised ~name config ?checkpoint f =
-  let retries = ref 0 in
-  let body () =
-    Fault.with_retry ~on_retry:(fun _ -> incr retries) config.retry f
-  in
-  Obs.Span.with_ ~name
-    ~attrs:(fun () -> [ ("retries", string_of_int !retries) ])
-    (fun () ->
+(* One flow stage: its span, its stage gauges and, when the stage
+   passes a [checkpoint] (stage name, input key, codec) and the config
+   has a store, a loaded result instead of a recomputed one. *)
+let stage ~name config ?checkpoint f =
+  Obs.Span.with_ ~name (fun () ->
       staged ~name (fun () ->
           match (checkpoint, config.checkpoint) with
-          | None, _ | _, None -> body ()
+          | None, _ | _, None -> f ()
           | Some (cname, key, encode, decode), Some _ ->
               (* [key] is a thunk: content-hashing the stage inputs means
                  serialising the chip and mask, which plain runs must not
                  pay for. *)
               Checkpoint.stage config.checkpoint ~name:cname ~key:(key ())
-                ~encode ~decode body))
+                ~encode ~decode f))
 
 (* Worker pool for the OPC and extraction hot paths; [None] when the config
    asks for a single domain, keeping call sites on the sequential
@@ -316,15 +306,14 @@ let add_silicon_noise config cds =
 (* Extraction over [conditions] with the config's slicing and the
    per-gate silicon noise applied to each condition's records. *)
 let extract_conditions ?pool config conditions ~mask ~gates =
-  Cdex.Extract.extract ?pool ~retry:config.retry (litho_model config)
-    conditions ~mask:(Opc.Mask.source mask) ~gates ~slices:config.slices
-    ~tile:config.tile ()
+  Cdex.Extract.extract ?pool (litho_model config) conditions
+    ~mask:(Opc.Mask.source mask) ~gates ~slices:config.slices ~tile:config.tile ()
   |> List.map (add_silicon_noise config)
 
 let extract_and_time ?pool ?(ckpt_stage = "cds") ?(ckpt_extra = "") config
     ~netlist ~chip ~mask ~loads ~clock_period =
   let cds =
-    supervised ~name:"flow.cdex" config
+    stage ~name:"flow.cdex" config
       ~checkpoint:
         ( ckpt_stage,
           (fun () -> cds_key config ~extra:ckpt_extra ~mask ~chip),
@@ -336,7 +325,7 @@ let extract_and_time ?pool ?(ckpt_stage = "cds") ?(ckpt_extra = "") config
         |> List.hd)
   in
   let annotation =
-    supervised ~name:"flow.annotate" config (fun () ->
+    stage ~name:"flow.annotate" config (fun () ->
         Cdex.Annotate.build ~nmos:config.env.Circuit.Delay_model.nmos
           ~pmos:config.env.Circuit.Delay_model.pmos cds)
   in
@@ -345,7 +334,7 @@ let extract_and_time ?pool ?(ckpt_stage = "cds") ?(ckpt_extra = "") config
       ~lengths_of:(lengths_of_annotation annotation netlist)
   in
   let sta =
-    supervised ~name:"flow.sta.post_opc" config (fun () ->
+    stage ~name:"flow.sta.post_opc" config (fun () ->
         Sta.Timing.analyze netlist ~loads ~delay ~clock_period ())
   in
   (cds, annotation, sta)
@@ -358,7 +347,7 @@ let run config netlist =
   @@ fun () ->
   Obs.Metrics.incr m_runs;
   let litho =
-    supervised ~name:"flow.litho_model" config (fun () -> litho_model config)
+    stage ~name:"flow.litho_model" config (fun () -> litho_model config)
   in
   let chip = place config netlist in
   let loads = Circuit.Loads.of_netlist config.env netlist in
@@ -368,7 +357,7 @@ let run config netlist =
   in
   let drawn_delay = Sta.Timing.nldm_delay nldm in
   let drawn_sta, clock_period =
-    supervised ~name:"flow.sta.drawn" config (fun () ->
+    stage ~name:"flow.sta.drawn" config (fun () ->
         let pre =
           Sta.Timing.analyze netlist ~loads ~delay:drawn_delay ~clock_period:1.0 ()
         in
@@ -383,7 +372,7 @@ let run config netlist =
   let mask, opc_stats, cds, annotation, post_opc_sta =
     with_flow_pool config (fun pool ->
         let mask, opc_stats =
-          supervised ~name:"flow.opc" config
+          stage ~name:"flow.opc" config
             ~checkpoint:
               ( "opc",
                 (fun () -> opc_key config ~extra:"" chip),
@@ -453,7 +442,7 @@ let run_selective r ~selected =
   in
   with_flow_pool config @@ fun pool ->
   let mask, opc_stats =
-    supervised ~name:"flow.opc" config
+    stage ~name:"flow.opc" config
       ~checkpoint:
         ( "opc_sel",
           (fun () -> opc_key config ~extra:sel_extra r.chip),

@@ -31,14 +31,6 @@ type config = {
           [Exec.Pool] of this width: model-OPC tiles and extraction
           buckets run as its tasks and merge in canonical order, so
           results are bit-identical for any value *)
-  retry : Fault.retry;
-      (** bounded-backoff supervision applied to every flow stage, to
-          extraction pool tasks and to per-gate CD measurement (default
-          {!Fault.no_retry}).  Stages are pure, so a run whose
-          transient injected faults are all absorbed by retries is
-          bit-identical to a fault-free run.  A gate whose measurement
-          permanently fails degrades to its drawn CD and is counted in
-          [flow.degraded_gates] rather than aborting the run *)
   checkpoint : Checkpoint.t option;
       (** stage-level checkpoint/resume (default [None]).  [run]
           checkpoints the post-OPC mask (stage ["opc"]) and the

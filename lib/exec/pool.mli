@@ -43,30 +43,21 @@ val with_pool : ?name:string -> domains:int -> (t -> 'a) -> 'a
 (** [map t f xs] is [Array.map f xs], parallel across the pool.
     If any task raises, the first exception (in task order it was
     observed) is re-raised in the caller with its backtrace after all
-    workers have finished the job.
-
-    With [retry], each task is supervised by {!Fault.with_retry}: a
-    task that raises is re-run in place on its worker with bounded
-    backoff, and only exhausted retries enter the min-index failure
-    protocol.  Retries are counted per label
-    ([exec.pool.<pool>.<label>.retries]) and globally
-    ([exec.retries]).  For pure tasks the result is bit-identical
-    whether or not any retry fired. *)
-val map : ?label:string -> ?retry:Fault.retry -> t -> ('a -> 'b) -> 'a array -> 'b array
+    workers have finished the job. *)
+val map : ?label:string -> t -> ('a -> 'b) -> 'a array -> 'b array
 
 (** List version of {!map}; element order is preserved. *)
-val map_list : ?label:string -> ?retry:Fault.retry -> t -> ('a -> 'b) -> 'a list -> 'b list
+val map_list : ?label:string -> t -> ('a -> 'b) -> 'a list -> 'b list
 
 (** [concat_map_list t f xs] is [List.concat_map f xs] with the [f]
     applications run on the pool and the concatenation done in input
     order. *)
-val concat_map_list :
-  ?label:string -> ?retry:Fault.retry -> t -> ('a -> 'b list) -> 'a list -> 'b list
+val concat_map_list : ?label:string -> t -> ('a -> 'b list) -> 'a list -> 'b list
 
 (** [init t n f] is [Array.init n f] with a guaranteed 0..n-1
     evaluation order semantics (each [f i] independent), parallel
     across the pool. *)
-val init : ?label:string -> ?retry:Fault.retry -> t -> int -> (int -> 'b) -> 'b array
+val init : ?label:string -> t -> int -> (int -> 'b) -> 'b array
 
 (** [map_reduce t ~map ~reduce ~init xs] folds the mapped values in
     index order: [reduce (... (reduce init (map xs.(0))) ...) (map
@@ -75,7 +66,6 @@ val init : ?label:string -> ?retry:Fault.retry -> t -> int -> (int -> 'b) -> 'b 
     identical to the sequential fold. *)
 val map_reduce :
   ?label:string ->
-  ?retry:Fault.retry ->
   t ->
   map:('a -> 'b) ->
   reduce:('c -> 'b -> 'c) ->
@@ -101,7 +91,6 @@ val map_reduce :
 type stage_stats = {
   calls : int;  (** jobs dispatched under this label *)
   tasks : int;  (** total elements processed *)
-  retries : int;  (** task retries fired under this label *)
   wall_s : float;  (** caller-observed wall seconds *)
 }
 

@@ -2,8 +2,6 @@ module G = Geometry
 
 let m_simulations = Obs.Metrics.counter "litho.simulations"
 
-let () = Fault.declare "litho.simulate"
-
 let mask_raster (model : Model.t) ~window polygons =
   let raster =
     Raster.of_window ~window ~halo:model.Model.halo ~step:model.Model.step
@@ -36,7 +34,6 @@ let simulate (model : Model.t) (condition : Condition.t) ~window
   Obs.Span.with_ ~name:"litho.simulate"
     ~attrs:(fun () -> [ ("polygons", string_of_int (List.length polygons)) ])
   @@ fun () ->
-  Fault.point "litho.simulate" @@ fun () ->
   Obs.Metrics.incr m_simulations;
   convolve model condition (mask_raster model ~window polygons)
 

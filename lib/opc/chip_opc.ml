@@ -2,8 +2,6 @@ module G = Geometry
 
 type style = None_ | Rule of Rule_opc.recipe | Model of Model_opc.config
 
-let () = Fault.declare "opc.correct"
-
 let zero_stats =
   { Model_opc.iterations_run = 0; max_epe = 0.0; rms_epe = 0.0; sites = 0; unresolved = 0 }
 
@@ -74,7 +72,6 @@ let model_correct ?pool litho_model config chip ~tile ~want =
   (corrected, Model_opc.merge_stats (List.map snd per_tile))
 
 let correct ?pool litho_model style chip ~tile =
-  Fault.point "opc.correct" @@ fun () ->
   let polys = Layout.Chip.flatten_layer chip Layout.Layer.Poly in
   match style with
   | None_ -> (Mask.of_polygons polys, zero_stats)
@@ -88,7 +85,6 @@ let correct ?pool litho_model style chip ~tile =
       (Mask.of_polygons (Array.to_list corrected), stats)
 
 let correct_selective ?pool litho_model config recipe chip ~tile ~selected =
-  Fault.point "opc.correct" @@ fun () ->
   (* Gate-touching test: a polygon is "selected" when it intersects the
      drawn gate region of any selected transistor. *)
   let gate_index = G.Spatial.create ~bucket:4000 in

@@ -6,7 +6,7 @@
     independent: with [pool], model-OPC tiles run as parallel pool
     tasks and their corrections are applied in canonical (x-major)
     tile order, so the mask and stats are byte-identical for any
-    worker count.  Each call is one [opc.correct] fault point. *)
+    worker count. *)
 
 type style =
   | None_  (** identity: mask = drawn layout *)

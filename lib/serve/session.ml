@@ -424,13 +424,8 @@ let handle_line t line =
       let verb = Protocol.verb request in
       bump t ("serve.verb." ^ verb);
       let reply =
-        match
-          Obs.Span.with_ ~name:("serve." ^ verb) (fun () ->
-              Fault.point "serve.handle" (fun () -> handle t request))
-        with
+        match Obs.Span.with_ ~name:("serve." ^ verb) (fun () -> handle t request) with
         | reply -> reply
-        | exception Fault.Injected point ->
-            Error (Printf.sprintf "fault injected at %s" point)
         | exception Failure msg -> Error msg
       in
       (match reply with Error _ -> bump t "serve.errors" | Ok _ -> ());

@@ -4,6 +4,5 @@
 # capture.  Command-line flags still override (they take precedence
 # over the environment in bin/potx.ml), which is how the --domains 4
 # golden variant works without a special rule.
-unset POTX_DOMAINS POTX_FAULTS POTX_RETRIES \
-      POTX_TRACE POTX_METRICS POTX_PROFILE
+unset POTX_DOMAINS POTX_TRACE POTX_METRICS POTX_PROFILE
 exec "$@"

@@ -1,8 +1,8 @@
-(* Byte-identity test kit shared by test_fault, test_serve and
-   test_ssta: one reduced flow config cheap enough to run dozens of
+(* Byte-identity test kit shared by test_exec, test_cdex, test_serve
+   and test_ssta: one reduced flow config cheap enough to run dozens of
    times, exact renderings of a run and of an ssta view, and the
    sequential-baseline comparison every byte-identity preserving
-   feature (domains, checkpoint, faults) is measured against. *)
+   feature (domains, checkpoint) is measured against. *)
 
 module F = Timing_opc.Flow
 
@@ -18,7 +18,6 @@ let base_config ?(tile = 1500) ?(iterations = 2) ?(slices = 3) ?(domains = 1)
     slices;
     tile;
     domains;
-    retry = Fault.no_retry;
     checkpoint = None;
   }
 

@@ -76,11 +76,13 @@ let test_run_selective_roundtrip () =
 (* Stage keys leave the domain count out (results are bit-identical
    for any count), so a checkpoint written with OPC tiles and
    extraction on a 4-domain pool resumes sequentially and vice versa,
-   loading both stages. *)
+   loading both stages.  The third input resumes mid-flow: with the
+   extraction payload deleted, the resume loads the 4-domain OPC mask
+   and recomputes extraction on it sequentially. *)
 let test_domains_interop () =
   let clean = run_with None in
   List.iter
-    (fun (write_at, resume_at) ->
+    (fun (write_at, resume_at, dropped) ->
       let dir = temp_dir "interop" in
       let run_at domains resume =
         Timing_opc.Flow.run
@@ -89,17 +91,24 @@ let test_domains_interop () =
             checkpoint = Some (Timing_opc.Checkpoint.create ~dir ~resume) }
           (Lazy.force netlist)
       in
-      let what = Printf.sprintf "written at %d, resumed at %d" write_at resume_at in
+      let what =
+        Printf.sprintf "written at %d, resumed at %d, dropped [%s]" write_at
+          resume_at (String.concat "," dropped)
+      in
       ignore (run_at write_at false);
+      let ck = Timing_opc.Checkpoint.create ~dir ~resume:true in
+      List.iter
+        (fun stage -> Sys.remove (Timing_opc.Checkpoint.payload_path ck stage))
+        dropped;
       let loaded0 = counter "flow.checkpoint.loaded" in
       let resumed = run_at resume_at true in
-      checki (what ^ ": both stages loaded") 2
+      checki (what ^ ": stages loaded") (2 - List.length dropped)
         (counter "flow.checkpoint.loaded" - loaded0);
       checkb (what ^ ": output = clean run") true (render resumed = render clean);
       checkb (what ^ ": mask identical") true
         (Opc.Mask.polygons resumed.Timing_opc.Flow.mask
         = Opc.Mask.polygons clean.Timing_opc.Flow.mask))
-    [ (4, 1); (1, 4) ]
+    [ (4, 1, []); (1, 4, []); (4, 1, [ "cds" ]) ]
 
 let tamper path =
   let ic = open_in_bin path in

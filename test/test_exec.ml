@@ -103,74 +103,6 @@ let test_nested_use_falls_back () =
   in
   checkb "nested maps run inline" true (got = [ 13; 23; 33 ])
 
-(* ---- retry supervision ---- *)
-
-(* A task set where the given indices fail exactly once (first attempt)
-   and succeed on retry; the tracking table is shared across worker
-   domains, hence the lock. *)
-let fail_once_tasks ~failing f =
-  let seen = Hashtbl.create 97 in
-  let lock = Mutex.create () in
-  fun i ->
-    let first_attempt =
-      Mutex.protect lock (fun () ->
-          if Hashtbl.mem seen i then false
-          else begin
-            Hashtbl.add seen i ();
-            true
-          end)
-    in
-    if first_attempt && failing i then failwith "transient" else f i
-
-let test_retry_absorbs_transient_failures () =
-  let oracle = Array.map (fun i -> i * 3) inputs in
-  List.iter
-    (fun domains ->
-      let flaky = fail_once_tasks ~failing:(fun i -> i mod 3 = 0) (fun i -> i * 3) in
-      let got =
-        with_domains domains (fun p ->
-            Exec.Pool.map ~retry:(Fault.retrying 1) p flaky inputs)
-      in
-      checkb
-        (Printf.sprintf "transient failures invisible, %d domains" domains)
-        true (got = oracle))
-    [ 1; 2; 4 ]
-
-let test_retry_exhausted_reraises_min_index () =
-  List.iter
-    (fun domains ->
-      with_domains domains (fun p ->
-          Alcotest.check_raises
-            (Printf.sprintf "min failing index after retries, %d domains" domains)
-            (Failure "task 5")
-            (fun () ->
-              ignore
-                (Exec.Pool.map ~retry:(Fault.retrying 2) p
-                   (fun i ->
-                     if i >= 5 then failwith (Printf.sprintf "task %d" i) else i)
-                   inputs));
-          checki "pool usable after exhausted retries" 6
-            (Exec.Pool.map_reduce p ~map:Fun.id ~reduce:( + ) ~init:0 [| 1; 2; 3 |])))
-    [ 1; 2; 4 ]
-
-let test_retry_stats () =
-  let global = Obs.Metrics.counter "exec.retries" in
-  List.iter
-    (fun domains ->
-      let before = Obs.Metrics.counter_value global in
-      let flaky = fail_once_tasks ~failing:(fun i -> i < 7) Fun.id in
-      with_domains domains (fun p ->
-          ignore (Exec.Pool.map ~label:"flaky" ~retry:(Fault.retrying 2) p flaky inputs);
-          let st = List.assoc "flaky" (Exec.Pool.report p) in
-          checki
-            (Printf.sprintf "per-label retries, %d domains" domains)
-            7 st.Exec.Pool.retries);
-      checki
-        (Printf.sprintf "global exec.retries delta, %d domains" domains)
-        (before + 7)
-        (Obs.Metrics.counter_value global))
-    [ 1; 2; 4 ]
-
 let test_stats_counters () =
   with_domains 2 (fun p ->
       ignore (Exec.Pool.map ~label:"stage_a" p heavy inputs);
@@ -239,6 +171,33 @@ let test_flow_determinism () =
   checkb "OPC stats identical" true
     (a.Timing_opc.Flow.opc_stats = b.Timing_opc.Flow.opc_stats)
 
+let counter name = Obs.Metrics.counter_value (Obs.Metrics.counter name)
+
+(* Model OPC reports its tiles as one pool job per run when domains > 1
+   (and none at domains 1), and the per-tile OPC counters add up to the
+   same totals either way. *)
+let test_opc_pool_counters () =
+  let opc_counters () =
+    List.map counter [ "opc.iterations"; "opc.epe_sites"; "opc.unresolved" ]
+  in
+  let calls () = counter "exec.pool.flow.opc.tiles.calls" in
+  let tasks () = counter "exec.pool.flow.opc.tiles.tasks" in
+  let run_at domains =
+    let o0 = opc_counters () and c0 = calls () and t0 = tasks () in
+    ignore
+      (Timing_opc.Flow.run
+         (Identity_helpers.base_config ~domains ())
+         (Identity_helpers.netlist_of 0));
+    (List.map2 ( - ) (opc_counters ()) o0, calls () - c0, tasks () - t0)
+  in
+  let seq_opc, seq_calls, _ = run_at 1 in
+  let par_opc, par_calls, par_tasks = run_at 4 in
+  checki "no OPC pool job at 1 domain" 0 seq_calls;
+  checki "one OPC pool job at 4 domains" 1 par_calls;
+  checkb "several OPC tiles on the pool" true (par_tasks > 1);
+  checkb "OPC counters moved" true (List.exists (fun d -> d > 0) seq_opc);
+  checkb "OPC counters equal at 1 and 4 domains" true (seq_opc = par_opc)
+
 let () =
   Alcotest.run "exec"
     [
@@ -255,12 +214,6 @@ let () =
             test_exception_propagates;
           Alcotest.test_case "nested use falls back inline" `Quick
             test_nested_use_falls_back;
-          Alcotest.test_case "retry absorbs transient failures" `Quick
-            test_retry_absorbs_transient_failures;
-          Alcotest.test_case "exhausted retries raise at min index" `Quick
-            test_retry_exhausted_reraises_min_index;
-          Alcotest.test_case "retry counters per label and global" `Quick
-            test_retry_stats;
           Alcotest.test_case "per-label stats counters" `Quick test_stats_counters;
         ] );
       ( "integration",
@@ -269,5 +222,6 @@ let () =
             test_montecarlo_pool_identical;
           Alcotest.test_case "flow worst slack identical at 1 and 4 domains" `Slow
             test_flow_determinism;
+          Alcotest.test_case "OPC pool job counters" `Slow test_opc_pool_counters;
         ] );
     ]

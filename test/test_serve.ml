@@ -1,6 +1,6 @@
 (* The resident timing service: protocol round-trips, warm-vs-cold
    reply identity, request-order byte determinism across worker-domain
-   counts, and session survival of injected faults.
+   counts, and session survival of a request that fails in [handle].
 
    The warm sessions here run the reduced config of Identity_helpers
    (tile=1500, 2 OPC iterations, 3 slices) so a full flow warm-up is
@@ -649,25 +649,26 @@ let test_random_queries_deterministic =
           String.equal (pin line (session_for 1)) (pin line (session_for 2)))
         lines)
 
-(* ---- fault tolerance ---- *)
+(* ---- error replies ---- *)
 
-let test_session_survives_fault () =
+(* A well-formed request that fails inside [handle]: moving an
+   instance the chip does not have.  The reply is an error naming the
+   instance, the session counts it, and the next request is answered. *)
+let test_unknown_instance_error () =
   let s = session_for 1 in
-  let plan =
-    match Fault.parse "serve.handle=fail1;seed=3" with
-    | Ok p -> p
-    | Error e -> Alcotest.failf "bad plan: %s" e
+  let errors () =
+    Option.value ~default:0 (List.assoc_opt "serve.errors" (Session.counters s))
   in
-  Fault.set_plan (Some plan);
-  Fun.protect ~finally:(fun () -> Fault.set_plan None) @@ fun () ->
-  let first = Session.handle_line s {|{"verb":"status"}|} in
-  (match first.P.reply with
-  | Error e -> checkb "fault surfaced" true (e <> "")
-  | Ok _ -> Alcotest.fail "first request should absorb the injected fault");
-  let second = Session.handle_line s {|{"verb":"status"}|} in
-  match second.P.reply with
+  let errors0 = errors () in
+  let r = Session.handle_line s {|{"verb":"whatif","gate":"nosuch","dx":400}|} in
+  (match r.P.reply with
+  | Error e -> checks "error names the instance" {|unknown instance "nosuch"|} e
+  | Ok _ -> Alcotest.fail "moving an unknown instance should fail");
+  checki "serve.errors counted once" (errors0 + 1) (errors ());
+  let next = Session.handle_line s {|{"verb":"status"}|} in
+  match next.P.reply with
   | Ok (P.Status_r st) -> checks "session still answers" "c17" st.bench
-  | _ -> Alcotest.fail "session did not survive the injected fault"
+  | _ -> Alcotest.fail "session did not answer after the error reply"
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -703,10 +704,10 @@ let () =
             test_script_determinism;
           qt test_random_queries_deterministic;
         ] );
-      ( "faults",
+      ( "errors",
         [
-          Alcotest.test_case "session survives injected fault" `Quick
-            test_session_survives_fault;
+          Alcotest.test_case "unknown instance move is an error reply" `Quick
+            test_unknown_instance_error;
         ] );
       (* Last: these advance the memoized sessions' request sequence
          numbers via handle_line, which the determinism section's
