@@ -64,6 +64,7 @@ let with_obs ?(profile = "") ~trace ~metrics f =
       match metrics with
       | None -> ()
       | Some path ->
+          Obs.Metrics.record_peak_rss ();
           Obs.Metrics.save_jsonl_file path Obs.Metrics.global;
           Format.eprintf "wrote metrics %s@." path)
     f

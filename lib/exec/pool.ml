@@ -268,15 +268,6 @@ let reset_stats t =
   Hashtbl.reset t.stats;
   Mutex.unlock t.mutex
 
-let pp_report ppf t =
-  Format.fprintf ppf "@[<v>pool %s (%d domains)" t.name t.n_domains;
-  List.iter
-    (fun (label, s) ->
-      Format.fprintf ppf "@,  %-16s calls=%d tasks=%d wall=%.3fs" label s.calls
-        s.tasks s.wall_s)
-    (report t);
-  Format.fprintf ppf "@]"
-
 let env_domains ?(var = "POTX_DOMAINS") ?(default = 1) () =
   match Sys.getenv_opt var with
   | None -> max 1 default

@@ -83,10 +83,10 @@ val map_reduce :
     [exec.pool.<pool>.<label>.calls], [....tasks] (counters) and
     [....wall_s] (gauge), so a [--metrics] dump carries them; pools
     sharing a name share the registry metrics, which accumulate
-    across pool instances.  {!report} and {!pp_report} are per-pool
-    views: they subtract the registry values seen when this pool
-    first used the label, and {!reset_stats} re-baselines that view
-    without touching the registry. *)
+    across pool instances.  {!report} is a per-pool view: it
+    subtracts the registry values seen when this pool first used the
+    label, and {!reset_stats} re-baselines that view without touching
+    the registry. *)
 
 type stage_stats = {
   calls : int;  (** jobs dispatched under this label *)
@@ -108,9 +108,6 @@ val reset_stats : t -> unit
     can be derived offline from a [--metrics] dump — that derivation
     is what [potx obs-report] prints. *)
 val occupancy : t -> float
-
-(** One line per label: [label: calls=.. tasks=.. wall=..s]. *)
-val pp_report : Format.formatter -> t -> unit
 
 (** {1 Configuration helpers} *)
 

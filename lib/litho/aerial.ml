@@ -15,17 +15,17 @@ let mask_raster (model : Model.t) ~window polygons =
   List.iter (Raster.paint_polygon ~clamp:true raster) polygons;
   raster
 
-(* One box-blur cascade per kernel, each blended into the image as soon
-   as it is blurred, so one blurred copy is live at a time, not one per
-   kernel, and the blend order is always kernel order. *)
+(* Each kernel's blur is added into the image in kernel order by the
+   fused kernel, through one scratch shared by the whole stack.  The
+   image is fresh on every call: [per_defocus] and the callers keep it. *)
 let convolve (model : Model.t) (condition : Condition.t) mask =
   let intensity = Raster.like mask in
+  let scratch = Blur.scratch mask in
   List.iter
     (fun (k : Model.kernel) ->
       let sigma = Model.effective_sigma model k ~defocus:condition.Condition.defocus in
-      let blurred = Raster.copy mask in
-      Blur.gaussian blurred ~sigma_px:(sigma /. model.Model.step);
-      Raster.blend ~dst:intensity ~src:blurred ~w:k.Model.weight)
+      Blur.add_gaussian scratch ~dst:intensity ~w:k.Model.weight
+        ~sigma_px:(sigma /. model.Model.step) mask)
     model.Model.kernels;
   intensity
 

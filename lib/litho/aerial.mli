@@ -7,11 +7,16 @@
     {!Model.printed_threshold} to decide printing.
 
     The convolution is a per-kernel 3-pass box-blur cascade, run over
-    the whole requested window in one raster on the calling domain;
-    each kernel's blur is blended into the image in kernel order as
-    soon as it is computed.  Parallelism lives above this call: chip
-    OPC and CD extraction run whole tiles on their pool, each tile
-    making its own sequential [simulate] calls.
+    the whole requested window on the calling domain by the fused
+    kernel {!Blur.add_gaussian}: each kernel's blur reads the mask
+    directly and adds its weighted output straight into the image, in
+    kernel order.  One {!Blur.scratch} (two ping-pong rasters and two
+    rows) is allocated per call and shared by the kernel stack, so a
+    call allocates four rasters — mask, image and the two buffers — and
+    keeps none of them beyond the returned image, which is fresh on
+    every call.  Parallelism lives above this call: chip OPC and CD
+    extraction run whole tiles on their pool, each tile making its own
+    sequential [simulate] calls.
 
     Every call paints and convolves, and counts [litho.simulations].
     Dose is not an input of the image (it scales only

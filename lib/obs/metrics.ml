@@ -67,6 +67,22 @@ let rec add_gauge g v =
 
 let gauge_value = Atomic.get
 
+(* VmHWM is the kernel's peak resident set for the process, in kB. *)
+let record_peak_rss () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> ()
+  | ic ->
+      let rec find () =
+        match input_line ic with
+        | line when String.starts_with ~prefix:"VmHWM:" line ->
+            Scanf.sscanf_opt (String.sub line 6 (String.length line - 6)) " %d kB" Fun.id
+        | _ -> find ()
+        | exception End_of_file -> None
+      in
+      Fun.protect ~finally:(fun () -> close_in ic) find
+      |> Option.iter (fun kb ->
+             set_gauge (gauge "process.peak_rss_mb") (float_of_int kb /. 1024.0))
+
 let default_edges = [| 0.5; 1.0; 2.0; 5.0; 10.0; 20.0; 50.0; 100.0; 200.0; 500.0 |]
 
 let histogram ?registry ?(edges = default_edges) name =

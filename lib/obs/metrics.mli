@@ -52,6 +52,12 @@ val add_gauge : gauge -> float -> unit
 
 val gauge_value : gauge -> float
 
+(** [record_peak_rss ()] sets the global gauge [process.peak_rss_mb]
+    to the process's peak resident set size in MiB, read from [VmHWM]
+    in [/proc/self/status].  Where that file or line is absent the
+    gauge is not created. *)
+val record_peak_rss : unit -> unit
+
 (** [histogram ~edges name]: [edges] must be strictly increasing;
     observations fall into [Array.length edges + 1] buckets — bucket
     [i] counts values [v <= edges.(i)] (first matching edge), the

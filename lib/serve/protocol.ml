@@ -223,7 +223,8 @@ let rec parse_request_obj ~nested j =
         let* defocus = get_float "defocus" j in
         let* defocus = require "defocus" defocus in
         let* spread = get_float "spread" j in
-        Ok (Corner { dose; defocus; spread })
+        if dose <= 0.0 then Error "dose must be positive"
+        else Ok (Corner { dose; defocus; spread })
     | "ssta" ->
         let* top = get_int "top" j in
         Ok (Ssta { top })

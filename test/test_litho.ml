@@ -86,10 +86,16 @@ let test_box_sizes_variance () =
   in
   checkb "variance close" true (Float.abs (var -. (sigma *. sigma)) < 2.0 *. sigma)
 
+(* [G(r)] through the fused kernel: the blur added into a zero image. *)
+let blurred r ~sigma_px =
+  let dst = Litho.Raster.like r in
+  Litho.Blur.add_gaussian (Litho.Blur.scratch r) ~dst ~w:1.0 ~sigma_px r;
+  dst
+
 let test_blur_conserves_mass () =
   let r = Raster_helpers.raster_100 () in
   Litho.Raster.set r 10 10 100.0;
-  Litho.Blur.gaussian r ~sigma_px:2.0;
+  let r = blurred r ~sigma_px:2.0 in
   let total = ref 0.0 in
   for iy = 0 to Litho.Raster.ny r - 1 do
     for ix = 0 to Litho.Raster.nx r - 1 do
@@ -102,14 +108,14 @@ let test_blur_conserves_mass () =
 let test_blur_spreads () =
   let r = Raster_helpers.raster_100 () in
   Litho.Raster.set r 10 10 1.0;
-  Litho.Blur.gaussian r ~sigma_px:1.5;
+  let r = blurred r ~sigma_px:1.5 in
   checkb "peak reduced" true (Litho.Raster.get r 10 10 < 1.0);
   checkb "neighbour raised" true (Litho.Raster.get r 11 10 > 0.0)
 
 let test_blur_identity_for_tiny_sigma () =
   let r = Raster_helpers.raster_100 () in
   Litho.Raster.set r 5 5 1.0;
-  Litho.Blur.gaussian r ~sigma_px:0.1;
+  let r = blurred r ~sigma_px:0.1 in
   checkf 1e-9 "untouched" 1.0 (Litho.Raster.get r 5 5)
 
 (* The column-strided blur the row-major vertical pass replaced, kept
@@ -152,32 +158,49 @@ let same_bits a b =
        (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
        a b
 
-(* sigma 0.6 px gives box widths [1; 1; 3] (width-1 passes are
+let random_raster rng ~nx ~ny ~lo ~hi =
+  let r = Litho.Raster.create ~origin:G.Point.origin ~step:5.0 ~nx ~ny in
+  for iy = 0 to ny - 1 do
+    for ix = 0 to nx - 1 do
+      Litho.Raster.set r ix iy (lo +. Random.State.float rng (hi -. lo))
+    done
+  done;
+  r
+
+(* The kernel weights the model blends with, raw and normalised; the
+   raw mid-range lobe is the negative -0.28. *)
+let kernel_weights =
+  List.map (fun (k : Litho.Model.kernel) -> k.Litho.Model.weight)
+    (Litho.Model.default_kernels @ (Litho.Model.create ()).Litho.Model.kernels)
+
+(* The fused kernel adds [w * G(src)] into a non-zero image, bit for
+   bit as the reference blur of a copy followed by [Raster.blend].
+   sigma 0.6 px gives box widths [1; 1; 3] (width-1 passes are
    skipped); sigma 60 px gives boxes wider than any raster here. *)
 let blur_matches_reference =
   QCheck.Test.make ~name:"matches column-strided reference"
-    ~count:150
+    ~count:200
     QCheck.(
       make
-        ~print:(fun (nx, ny, sigma, seed) ->
-          Printf.sprintf "nx=%d ny=%d sigma=%g seed=%d" nx ny sigma seed)
+        ~print:(fun ((nx, ny), (sigma, w), seed) ->
+          Printf.sprintf "nx=%d ny=%d sigma=%g w=%g seed=%d" nx ny sigma w seed)
         Gen.(
-          quad (int_range 1 48)
-            (oneof [ return 1; int_range 1 48 ])
-            (oneofl [ 0.6; 9.0; 24.0; 60.0 ])
+          triple
+            (pair
+               (oneof [ return 1; int_range 1 48 ])
+               (oneof [ return 1; int_range 1 48 ]))
+            (pair (oneofl [ 0.6; 9.0; 24.0; 60.0 ]) (oneofl kernel_weights))
             int))
-    (fun (nx, ny, sigma, seed) ->
+    (fun ((nx, ny), (sigma, w), seed) ->
       let rng = Random.State.make [| seed |] in
-      let a = Litho.Raster.create ~origin:G.Point.origin ~step:5.0 ~nx ~ny in
-      for iy = 0 to ny - 1 do
-        for ix = 0 to nx - 1 do
-          Litho.Raster.set a ix iy (Random.State.float rng 1.0)
-        done
-      done;
-      let b = Litho.Raster.copy a in
-      Litho.Blur.gaussian a ~sigma_px:sigma;
-      ref_gaussian b ~sigma_px:sigma;
-      same_bits a b)
+      let src = random_raster rng ~nx ~ny ~lo:0.0 ~hi:1.0 in
+      let dst = random_raster rng ~nx ~ny ~lo:(-0.5) ~hi:1.5 in
+      let src0 = Litho.Raster.copy src and expected = Litho.Raster.copy dst in
+      let reference = Litho.Raster.copy src in
+      ref_gaussian reference ~sigma_px:sigma;
+      Litho.Raster.blend ~dst:expected ~src:reference ~w;
+      Litho.Blur.add_gaussian (Litho.Blur.scratch src) ~dst ~w ~sigma_px:sigma src;
+      same_bits dst expected && same_bits src src0)
 
 (* ---- Model / Aerial ---- *)
 
@@ -362,34 +385,131 @@ let block =
     (let rng = Stats.Rng.create 7 in
      Layout.Placer.random_block tech Layout.Placer.default_config rng ~n:6)
 
+(* The aerial image composed from the pieces the fused kernel
+   replaced: per kernel, the column-strided reference blur of a copy
+   of the mask, blended into the image in kernel order. *)
+let reference_image m condition ~window polygons =
+  let mask = Litho.Aerial.mask_raster m ~window polygons in
+  let reference = Litho.Raster.like mask in
+  List.iter
+    (fun (k : Litho.Model.kernel) ->
+      let sigma =
+        Litho.Model.effective_sigma m k ~defocus:condition.Litho.Condition.defocus
+      in
+      let blurred = Litho.Raster.copy mask in
+      ref_gaussian blurred ~sigma_px:(sigma /. m.Litho.Model.step);
+      Litho.Raster.blend ~dst:reference ~src:blurred ~w:k.Litho.Model.weight)
+    m.Litho.Model.kernels;
+  reference
+
+let tile_polygons m window =
+  Layout.Chip.shapes_in (Lazy.force block) Layout.Layer.Poly
+    (G.Rect.inflate window m.Litho.Model.halo)
+
 (* Aerial images of real mask tiles equal the kernel stack convolved
    with the column-strided reference blur, bit for bit. *)
 let test_tile_windows_identical () =
   let m = Lazy.force model in
-  let chip = Lazy.force block in
   List.iter
     (fun i ->
       let x = i mod 2 * 1200 and y = i / 2 * 1200 in
       let window = G.Rect.make ~lx:x ~ly:y ~hx:(x + 1200) ~hy:(y + 1200) in
-      let polygons =
-        Layout.Chip.shapes_in chip Layout.Layer.Poly
-          (G.Rect.inflate window m.Litho.Model.halo)
-      in
+      let polygons = tile_polygons m window in
       let condition = Litho.Condition.make ~dose:1.0 ~defocus:60.0 in
-      let mask = Litho.Aerial.mask_raster m ~window polygons in
-      let reference = Litho.Raster.like mask in
-      List.iter
-        (fun (k : Litho.Model.kernel) ->
-          let sigma =
-            Litho.Model.effective_sigma m k ~defocus:condition.Litho.Condition.defocus
-          in
-          let blurred = Litho.Raster.copy mask in
-          ref_gaussian blurred ~sigma_px:(sigma /. m.Litho.Model.step);
-          Litho.Raster.blend ~dst:reference ~src:blurred ~w:k.Litho.Model.weight)
-        m.Litho.Model.kernels;
       checkb "tile image = reference" true
-        (same_bits (Litho.Aerial.simulate m condition ~window polygons) reference))
+        (same_bits
+           (Litho.Aerial.simulate m condition ~window polygons)
+           (reference_image m condition ~window polygons)))
     [ 0; 1; 2; 3 ]
+
+(* Random rectangle masks over random windows and defoci simulate to
+   the reference composition, bit for bit. *)
+let simulate_matches_reference =
+  QCheck.Test.make ~name:"simulate matches reference composition" ~count:12
+    QCheck.(
+      make
+        ~print:(fun ((w, h), (defocus, rects), seed) ->
+          Printf.sprintf "window=%dx%d defocus=%g rects=%d seed=%d" w h defocus
+            rects seed)
+        Gen.(
+          triple
+            (pair (int_range 5 1500) (int_range 5 1500))
+            (pair (float_range 0.0 200.0) (int_range 0 6))
+            int))
+    (fun ((w, h), (defocus, rects), seed) ->
+      let m = Lazy.force model in
+      let rng = Random.State.make [| seed |] in
+      let window = G.Rect.make ~lx:0 ~ly:0 ~hx:w ~hy:h in
+      let polygons =
+        List.init rects (fun _ ->
+            let lx = Random.State.int rng (w + 400) - 200
+            and ly = Random.State.int rng (h + 400) - 200 in
+            G.Polygon.of_rect
+              (G.Rect.make ~lx ~ly
+                 ~hx:(lx + 1 + Random.State.int rng 400)
+                 ~hy:(ly + 1 + Random.State.int rng 400)))
+      in
+      let condition = Litho.Condition.make ~dose:1.0 ~defocus in
+      same_bits
+        (Litho.Aerial.simulate m condition ~window polygons)
+        (reference_image m condition ~window polygons))
+
+(* A large, a small and again a large window, back to back on one
+   domain and through a two-domain pool: no buffer state leaks from
+   one simulation into the next. *)
+let test_window_sizes_back_to_back () =
+  let m = Lazy.force model in
+  let windows =
+    [ G.Rect.make ~lx:0 ~ly:0 ~hx:1500 ~hy:1500;
+      G.Rect.make ~lx:600 ~ly:600 ~hx:700 ~hy:650;
+      G.Rect.make ~lx:900 ~ly:300 ~hx:2400 ~hy:1800 ]
+  in
+  let condition = Litho.Condition.make ~dose:1.0 ~defocus:40.0 in
+  let simulate window =
+    Litho.Aerial.simulate m condition ~window (tile_polygons m window)
+  in
+  let references =
+    List.map
+      (fun window -> reference_image m condition ~window (tile_polygons m window))
+      windows
+  in
+  let check_all what images =
+    List.iter2
+      (fun image reference -> checkb what true (same_bits image reference))
+      images references
+  in
+  check_all "one domain" (List.map simulate windows);
+  check_all "two-domain pool"
+    (Exec.Pool.with_pool ~domains:2 (fun pool ->
+         Exec.Pool.map_list pool simulate windows))
+
+(* One simulation allocates four nx*ny rasters: the painted mask, the
+   returned image -- fresh on every call because [per_defocus] and the
+   callers keep it -- and the fused blur's two ping-pong buffers.  A
+   per-kernel mask copy or blurred raster would add at least one more
+   and break the 4.5 bound; the constant covers painting the few
+   lines and the per-row buffers. *)
+let test_simulate_allocation () =
+  let m = Lazy.force model in
+  let window = G.Rect.make ~lx:0 ~ly:0 ~hx:1200 ~hy:1200 in
+  let polygons =
+    List.init 5 (fun i ->
+        G.Polygon.of_rect
+          (G.Rect.make ~lx:(250 * i) ~ly:(-200) ~hx:((250 * i) + 90) ~hy:1400))
+  in
+  let mask = Litho.Aerial.mask_raster m ~window polygons in
+  let pixels = Litho.Raster.nx mask * Litho.Raster.ny mask in
+  (* Words that worker domains of earlier tests allocated are added to
+     this domain's counters at a later major cycle; settle them first. *)
+  Gc.full_major ();
+  let before = Gc.allocated_bytes () in
+  let image = Litho.Aerial.simulate m Litho.Condition.nominal ~window polygons in
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  ignore (Sys.opaque_identity image);
+  Printf.printf "simulate: %.0f words for %d pixels (%.2f rasters)\n" words pixels
+    (words /. float_of_int pixels);
+  checkb "at most 4.5 rasters + constant" true
+    (words <= (4.5 *. float_of_int pixels) +. 20_000.0)
 
 (* Five corner conditions share two defoci: Pvband simulates twice and
    its band equals one built from an independent simulation per
@@ -485,6 +605,10 @@ let () =
       ( "identity",
         [
           Alcotest.test_case "tile windows" `Slow test_tile_windows_identical;
+          QCheck_alcotest.to_alcotest simulate_matches_reference;
+          Alcotest.test_case "window sizes back to back" `Slow
+            test_window_sizes_back_to_back;
+          Alcotest.test_case "simulate allocation" `Quick test_simulate_allocation;
           Alcotest.test_case "pvband" `Slow test_pvband_identical;
         ] );
     ]

@@ -425,6 +425,22 @@ let test_flow_metrics_domain_independent () =
   checkb "at least ten metric names" true (List.length a >= 10);
   checkb "counters and buckets identical at domains 1 vs 2" true (a = b)
 
+(* [potx run --metrics] records the process's peak RSS as a gauge
+   where /proc/self/status exists, and omits it elsewhere. *)
+let test_peak_rss_gauge () =
+  let path = Filename.temp_file "potx_metrics" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let cmd =
+    Printf.sprintf "../bin/potx.exe run --bench c17 --metrics %s > /dev/null 2>&1"
+      (Filename.quote path)
+  in
+  checki "potx run exits 0" 0 (Sys.command cmd);
+  let rss = Obs.Report.gauge_of "process.peak_rss_mb" (Obs.Report.read_jsonl_file path) in
+  if Sys.file_exists "/proc/self/status" then
+    checkb "process.peak_rss_mb present and positive" true
+      (match rss with Some mb -> mb > 0.0 | None -> false)
+  else checkb "process.peak_rss_mb omitted" true (rss = None)
+
 let () =
   Alcotest.run "obs"
     [
@@ -464,6 +480,7 @@ let () =
           Alcotest.test_case "quantile" `Quick test_report_quantile;
           Alcotest.test_case "metric json roundtrip" `Quick test_report_metric_roundtrip;
           Alcotest.test_case "derived figures" `Quick test_report_derived;
+          Alcotest.test_case "peak rss gauge" `Slow test_peak_rss_gauge;
         ] );
       ( "flow",
         [

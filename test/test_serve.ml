@@ -234,6 +234,8 @@ let malformed =
     {|{"verb":"cds","lx":1,"ly":2,"hx":3}|};
     {|{"verb":"corner","dose":1.0}|};
     {|{"verb":"corner","defocus":30}|};
+    {|{"verb":"corner","dose":0,"defocus":10}|};
+    {|{"verb":"corner","dose":-1,"defocus":10}|};
     {|{"verb":"retime","endpoint":1.5}|};
     {|{"verb":"metrics","all":1}|};
     {|{"verb":"profile","of":{"verb":"profile"}}|};
